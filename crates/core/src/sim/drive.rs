@@ -6,6 +6,7 @@
 //! produced by a coupled-interconnect SPICE simulation, as in the paper's
 //! Fig. 12 experiment). [`DriveWaveform`] abstracts over both.
 
+use mcsm_num::interp::SegmentCursor;
 use mcsm_spice::source::SourceWaveform;
 use mcsm_spice::waveform::Waveform;
 use std::sync::Arc;
@@ -18,11 +19,13 @@ pub enum DriveWaveform {
     /// A sampled waveform, linearly interpolated between samples and clamped
     /// outside its time range.
     Sampled(Waveform),
-    /// A shared piecewise-linear waveform: identical interpolation semantics to
-    /// [`DriveWaveform::Sampled`], but the samples live behind an [`Arc`], so
-    /// cloning is O(1). This is the netlist-simulation handoff form — one
-    /// driver's output waveform fans out to all of its receiving gates without
-    /// copying the sample vectors per fanout pin.
+    /// A shared piecewise-linear waveform: evaluation is bit-identical to
+    /// [`DriveWaveform::Sampled`] of the same samples (both go through
+    /// [`Waveform::value_at`] / [`Waveform::value_at_with`]), but the samples
+    /// live behind an [`Arc`], so cloning is O(1). This is the
+    /// netlist-simulation handoff form — one driver's output waveform fans
+    /// out to all of its receiving gates without copying the sample vectors
+    /// per fanout pin.
     Pwl(Arc<Waveform>),
 }
 
@@ -44,20 +47,35 @@ impl DriveWaveform {
 
     /// Wraps a simulated waveform as a shareable piecewise-linear drive
     /// ([`DriveWaveform::Pwl`]): evaluation is bit-identical to
-    /// [`DriveWaveform::Sampled`] of the same waveform (both interpolate with
-    /// the same routine), but every clone shares the samples instead of
-    /// copying them — the form a netlist simulator hands a driver's output to
-    /// its fanout gates in.
+    /// [`DriveWaveform::Sampled`] of the same waveform (both evaluate through
+    /// the waveform's own [`Waveform::value_at`], which trusts the time
+    /// vector its constructor validated), but every clone shares the samples
+    /// instead of copying them — the form a netlist simulator hands a
+    /// driver's output to its fanout gates in.
     pub fn from_waveform(waveform: Waveform) -> Self {
         DriveWaveform::Pwl(Arc::new(waveform))
     }
 
-    /// Evaluates the drive at time `t` (seconds).
+    /// Evaluates the drive at time `t` (seconds). Sampled drives cost an
+    /// O(log n) search; loops that sweep time use [`DriveWaveform::eval_with`].
     pub fn eval(&self, t: f64) -> f64 {
         match self {
             DriveWaveform::Analytic(w) => w.eval(t),
             DriveWaveform::Sampled(w) => w.value_at(t),
             DriveWaveform::Pwl(w) => w.value_at(t),
+        }
+    }
+
+    /// [`DriveWaveform::eval`] through a caller-held segment cursor, one per
+    /// drive: O(1) amortized for sampled drives whose successive queries
+    /// move a bounded number of samples, bit-identical to `eval` for any
+    /// query order. Analytic drives ignore the cursor.
+    #[inline]
+    pub fn eval_with(&self, cursor: &mut SegmentCursor, t: f64) -> f64 {
+        match self {
+            DriveWaveform::Analytic(w) => w.eval(t),
+            DriveWaveform::Sampled(w) => w.value_at_with(cursor, t),
+            DriveWaveform::Pwl(w) => w.value_at_with(cursor, t),
         }
     }
 

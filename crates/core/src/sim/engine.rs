@@ -42,6 +42,7 @@ use super::drive::DriveWaveform;
 use crate::error::CsmError;
 use crate::eval::{EvalMode, EvalState};
 use crate::model::{CellModel, McsmModel, MisBaselineModel, SisModel};
+use mcsm_num::interp::SegmentCursor;
 use mcsm_spice::waveform::Waveform;
 use std::sync::Arc;
 
@@ -329,13 +330,27 @@ pub fn simulate(
     let steps = (options.t_stop / options.dt).ceil() as usize;
     let dt = options.t_stop / steps as f64;
 
-    let eval_pins = |t: f64, out: &mut Vec<f64>| {
-        out.clear();
-        out.extend(inputs.iter().map(|w| w.eval(t)));
+    // One segment cursor per pin: sampled drives cost O(1) amortized per
+    // query, because successive queries move only a few samples forward (the
+    // next time point) or back (the sub-steps restart at `t_prev`). Cursor
+    // and search pick the same segment, so the values are bit-identical to
+    // `DriveWaveform::eval`.
+    let mut cursors = vec![SegmentCursor::new(); n_pins];
+    let mut eval_pins = |t: f64, out: &mut [f64]| {
+        for ((slot, drive), cursor) in out.iter_mut().zip(inputs).zip(&mut cursors) {
+            *slot = drive.eval_with(cursor, t);
+        }
     };
 
-    let mut pins0 = Vec::with_capacity(n_pins);
-    let mut pins1 = Vec::with_capacity(n_pins);
+    // Pin voltages at the step's end points and at the current sub-step's.
+    // `pins_next` (at `t_next`) becomes the next step's `pins_prev`: both
+    // times are `k as f64 * dt` for the same `k`, so the values are the same
+    // bits and need not be evaluated twice.
+    let mut pins_prev = vec![0.0; n_pins];
+    let mut pins_next = vec![0.0; n_pins];
+    let mut pins0 = vec![0.0; n_pins];
+    let mut pins1 = vec![0.0; n_pins];
+    eval_pins(0.0, &mut pins_next);
 
     let mut v_out = v_out_initial;
     let mut state = match initial_state {
@@ -356,8 +371,7 @@ pub fn simulate(
         }
         None => {
             let mut s = vec![0.0; n_state];
-            eval_pins(0.0, &mut pins0);
-            model.equilibrium_state(&pins0, v_out_initial, &mut s);
+            model.equilibrium_state(&pins_next, v_out_initial, &mut s);
             s
         }
     };
@@ -381,12 +395,13 @@ pub fn simulate(
     for k in 0..steps {
         let t_prev = k as f64 * dt;
         let t_next = (k + 1) as f64 * dt;
-        eval_pins(t_prev, &mut pins0);
-        eval_pins(t_next, &mut pins1);
+        std::mem::swap(&mut pins_prev, &mut pins_next);
+        eval_pins(t_next, &mut pins_next);
 
         // Probe the full step to decide how finely to subdivide it: an
         // internal-node time constant can be much shorter than `dt`.
-        let probe_out = stepper.advance(&pins0, &pins1, &state, v_out, dt, &mut probe_state);
+        let probe_out =
+            stepper.advance(&pins_prev, &pins_next, &state, v_out, dt, &mut probe_state);
         deltas[0] = probe_out - v_out;
         for j in 0..n_state {
             deltas[1 + j] = probe_state[j] - state[j];
@@ -397,9 +412,22 @@ pub fn simulate(
         for s in 0..n_sub {
             let t0 = t_prev + s as f64 * h;
             let t1 = t0 + h;
-            eval_pins(t0, &mut pins0);
-            eval_pins(t1, &mut pins1);
-            let next_out = stepper.advance(&pins0, &pins1, &state, v_out, h, &mut next_state);
+            // Sub-step 0 starts at `t_prev + 0.0 * h`, which is `t_prev` to
+            // the bit; an end point that lands on `t_next` to the bit reuses
+            // the probe's values too. Every other time is evaluated afresh.
+            let p0: &[f64] = if s == 0 {
+                &pins_prev
+            } else {
+                eval_pins(t0, &mut pins0);
+                &pins0
+            };
+            let p1: &[f64] = if t1.to_bits() == t_next.to_bits() {
+                &pins_next
+            } else {
+                eval_pins(t1, &mut pins1);
+                &pins1
+            };
+            let next_out = stepper.advance(p0, p1, &state, v_out, h, &mut next_state);
             v_out = clamp_voltage(next_out, vdd);
             for j in 0..n_state {
                 state[j] = clamp_voltage(next_state[j], vdd);
@@ -766,6 +794,97 @@ mod tests {
                 );
                 assert!(fast.steps > 0);
                 assert!(fast.lut_evals > 0);
+            }
+        }
+    }
+
+    /// The engine loop as it reads without cursors or reuse: every pin
+    /// evaluated afresh through `DriveWaveform::eval` at every end point.
+    /// Returns the output samples.
+    fn simulate_uncached_pins(
+        model: &dyn CellModel,
+        inputs: &[DriveWaveform],
+        load: f64,
+        v_out_initial: f64,
+        options: &CsmSimOptions,
+    ) -> Vec<f64> {
+        let eval_pins = |t: f64| inputs.iter().map(|w| w.eval(t)).collect::<Vec<f64>>();
+        let vdd = model.vdd();
+        let steps = (options.t_stop / options.dt).ceil() as usize;
+        let dt = options.t_stop / steps as f64;
+        let n_state = model.num_state_nodes();
+        let mut state = vec![0.0; n_state];
+        model.equilibrium_state(&eval_pins(0.0), v_out_initial, &mut state);
+        let corrector = options.integration == CsmIntegration::PredictorCorrector;
+        let mut stepper = Stepper::new(model, load, corrector, options.eval);
+        let (mut probe_state, mut next_state) = (vec![0.0; n_state], vec![0.0; n_state]);
+        let mut deltas = vec![0.0; 1 + n_state];
+        let mut v_out = v_out_initial;
+        let mut out = vec![v_out];
+        for k in 0..steps {
+            let t_prev = k as f64 * dt;
+            let t_next = (k + 1) as f64 * dt;
+            let (p0, p1) = (eval_pins(t_prev), eval_pins(t_next));
+            let probe_out = stepper.advance(&p0, &p1, &state, v_out, dt, &mut probe_state);
+            deltas[0] = probe_out - v_out;
+            for j in 0..n_state {
+                deltas[1 + j] = probe_state[j] - state[j];
+            }
+            let n_sub = substeps_for(&deltas);
+            let h = dt / n_sub as f64;
+            for s in 0..n_sub {
+                let t0 = t_prev + s as f64 * h;
+                let (p0, p1) = (eval_pins(t0), eval_pins(t0 + h));
+                let next_out = stepper.advance(&p0, &p1, &state, v_out, h, &mut next_state);
+                v_out = clamp_voltage(next_out, vdd);
+                for j in 0..n_state {
+                    state[j] = clamp_voltage(next_state[j], vdd);
+                }
+            }
+            out.push(v_out);
+        }
+        out
+    }
+
+    #[test]
+    fn pin_cursors_and_reuse_match_fresh_pin_evaluation_bit_for_bit() {
+        // Sampled inputs on grids finer than, equal to, coarser than and
+        // misaligned with the engine step, plus analytic ones, through both
+        // integrators: the per-pin cursors and the reuse of `t_prev` /
+        // `t_next` values must not move a single output bit.
+        let mcsm = synthetic_model();
+        let sampled = |t_start: f64, grid: f64| {
+            let analytic = DriveWaveform::falling_ramp(1.2, t_start, 60e-12);
+            let times: Vec<f64> = (0..)
+                .map(|i| 0.13e-12 + i as f64 * grid)
+                .take_while(|&t| t < 1.6e-9)
+                .collect();
+            let values = times.iter().map(|&t| analytic.eval(t)).collect();
+            DriveWaveform::from_waveform(Waveform::new(times, values).unwrap())
+        };
+        let cases = [
+            [sampled(0.2e-9, 0.3e-12), sampled(0.21e-9, 0.7e-12)],
+            [sampled(0.2e-9, 1e-12), sampled(0.25e-9, 1e-12)],
+            [
+                sampled(0.2e-9, 3.1e-12),
+                DriveWaveform::falling_ramp(1.2, 0.2e-9, 40e-12),
+            ],
+            falling_pair(),
+        ];
+        for inputs in &cases {
+            for integration in [CsmIntegration::Explicit, CsmIntegration::PredictorCorrector] {
+                for dt in [1e-12, 0.7e-12] {
+                    let mut opts = CsmSimOptions::new(1.5e-9, dt);
+                    opts.integration = integration;
+                    let engine = mcsm_sim(&mcsm, inputs, 2e-15, &opts).run().unwrap();
+                    let fresh = simulate_uncached_pins(&mcsm, inputs, 2e-15, 0.0, &opts);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(engine.output.values()),
+                        bits(&fresh),
+                        "{integration:?}, dt {dt:e}"
+                    );
+                }
             }
         }
     }

@@ -12,10 +12,51 @@ pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
     a + t * (b - a)
 }
 
+/// Checks that `(xs, ys)` is a valid piecewise-linear grid: matching
+/// lengths, at least one sample, strictly increasing abscissae. O(n).
+fn validate_grid(xs: &[f64], ys: &[f64], context: &'static str) -> Result<(), NumError> {
+    if xs.len() != ys.len() {
+        return Err(NumError::DimensionMismatch {
+            got: ys.len(),
+            expected: xs.len(),
+            context,
+        });
+    }
+    if xs.is_empty() {
+        return Err(NumError::InvalidGrid(format!(
+            "{context} needs at least one sample"
+        )));
+    }
+    for w in xs.windows(2) {
+        if w[1] <= w[0] {
+            return Err(NumError::InvalidGrid(format!(
+                "{context} abscissae must be strictly increasing"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The value on segment `lo` (`xs[lo] <= x < xs[lo + 1]`): the one
+/// interpolation formula every entry point shares, so the validating,
+/// unchecked and cursor paths agree to the bit once they pick the same
+/// segment.
+#[inline]
+fn segment_value(xs: &[f64], ys: &[f64], lo: usize, x: f64) -> f64 {
+    let t = (x - xs[lo]) / (xs[lo + 1] - xs[lo]);
+    lerp(ys[lo], ys[lo + 1], t)
+}
+
 /// Evaluates a piecewise-linear function defined by `(xs, ys)` at `x`.
 ///
 /// Queries outside the sampled range are clamped to the end values (flat
 /// extrapolation), matching the behaviour of the table lookups.
+///
+/// This entry point re-validates the whole grid on every call, which costs
+/// O(n) — use it for one-off evaluations of unchecked data only. Grids that
+/// are already known to be valid (a constructed `Waveform`) go through
+/// [`interp1_unchecked`], and repeated queries that move along the grid
+/// through a [`SegmentCursor`]; both return bit-identical results.
 ///
 /// # Errors
 ///
@@ -23,37 +64,30 @@ pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
 /// * [`NumError::InvalidGrid`] if fewer than one sample is provided or `xs` is
 ///   not strictly increasing.
 pub fn interp1(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, NumError> {
-    if xs.len() != ys.len() {
-        return Err(NumError::DimensionMismatch {
-            got: ys.len(),
-            expected: xs.len(),
-            context: "interp1",
-        });
+    validate_grid(xs, ys, "interp1")?;
+    Ok(interp1_unchecked(xs, ys, x))
+}
+
+/// The interpolation kernel of [`interp1`] without the O(n) grid check:
+/// clamping plus an O(log n) binary search for the containing segment.
+///
+/// The caller guarantees what [`interp1`] would check — `xs.len() ==
+/// ys.len() >= 1` and `xs` strictly increasing. Violating that stays memory
+/// safe (indexing panics rather than reading out of bounds), but the value
+/// is then meaningless.
+#[inline]
+pub fn interp1_unchecked(xs: &[f64], ys: &[f64], x: f64) -> f64 {
+    debug_assert_eq!(xs.len(), ys.len(), "interp1_unchecked length mismatch");
+    let last = xs.len() - 1;
+    if last == 0 || x <= xs[0] {
+        return ys[0];
     }
-    if xs.is_empty() {
-        return Err(NumError::InvalidGrid(
-            "interp1 needs at least one sample".into(),
-        ));
+    if x >= xs[last] {
+        return ys[last];
     }
-    if xs.len() == 1 {
-        return Ok(ys[0]);
-    }
-    for w in xs.windows(2) {
-        if w[1] <= w[0] {
-            return Err(NumError::InvalidGrid(
-                "interp1 abscissae must be strictly increasing".into(),
-            ));
-        }
-    }
-    if x <= xs[0] {
-        return Ok(ys[0]);
-    }
-    if x >= xs[xs.len() - 1] {
-        return Ok(ys[ys.len() - 1]);
-    }
-    // Binary search for the containing interval.
+    // Binary search for the containing interval: `xs[lo] <= x < xs[hi]`.
     let mut lo = 0usize;
-    let mut hi = xs.len() - 1;
+    let mut hi = last;
     while hi - lo > 1 {
         let mid = (lo + hi) / 2;
         if xs[mid] <= x {
@@ -62,17 +96,79 @@ pub fn interp1(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, NumError> {
             hi = mid;
         }
     }
-    let t = (x - xs[lo]) / (xs[lo + 1] - xs[lo]);
-    Ok(lerp(ys[lo], ys[lo + 1], t))
+    segment_value(xs, ys, lo, x)
+}
+
+/// A remembered segment index for repeated piecewise-linear queries on one
+/// valid grid: O(1) amortized per query when successive queries move a
+/// bounded number of segments, as a time-stepping loop's do.
+///
+/// [`SegmentCursor::eval`] walks forward or back from the last segment used
+/// to the unique segment with `xs[lo] <= x < xs[lo + 1]` — the one the
+/// binary search of [`interp1_unchecked`] finds — and evaluates it with the
+/// same formula, so the result is bit-identical to [`interp1`] for every
+/// query order (a NaN query walks to segment 0, exactly where the binary
+/// search ends, and yields NaN). Sorted queries make a sweep over `m` points
+/// one O(m + n) merge walk over both grids.
+///
+/// A cursor carries no reference to its grid; using one cursor on two
+/// different grids is harmless (the index is clamped and re-walked) but
+/// forfeits the amortization.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SegmentCursor {
+    seg: usize,
+}
+
+impl SegmentCursor {
+    /// A cursor at the first segment.
+    pub fn new() -> Self {
+        SegmentCursor::default()
+    }
+
+    /// Evaluates the valid grid `(xs, ys)` at `x`, under the preconditions
+    /// of [`interp1_unchecked`].
+    #[inline]
+    pub fn eval(&mut self, xs: &[f64], ys: &[f64], x: f64) -> f64 {
+        debug_assert_eq!(xs.len(), ys.len(), "SegmentCursor length mismatch");
+        let last = xs.len() - 1;
+        if last == 0 || x <= xs[0] {
+            return ys[0];
+        }
+        if x >= xs[last] {
+            return ys[last];
+        }
+        // From here `xs[0] < x < xs[last]` (or x is NaN), so both walks stop
+        // inside the grid.
+        let mut seg = self.seg.min(last - 1);
+        while seg > 0 && !(xs[seg] <= x) {
+            seg -= 1;
+        }
+        while xs[seg + 1] <= x {
+            seg += 1;
+        }
+        self.seg = seg;
+        segment_value(xs, ys, seg, x)
+    }
 }
 
 /// Resamples a piecewise-linear signal `(xs, ys)` onto the abscissae `new_xs`.
+///
+/// The source grid is validated once (not per point), then swept with one
+/// [`SegmentCursor`], so sorted `new_xs` cost one O(m + n) merge walk over
+/// both grids. The values are bit-identical to mapping [`interp1`] over
+/// `new_xs`, in any order. An empty `new_xs` yields an empty vector without
+/// looking at the source, as that mapping would.
 ///
 /// # Errors
 ///
 /// Propagates the validation errors of [`interp1`].
 pub fn resample(xs: &[f64], ys: &[f64], new_xs: &[f64]) -> Result<Vec<f64>, NumError> {
-    new_xs.iter().map(|&x| interp1(xs, ys, x)).collect()
+    if new_xs.is_empty() {
+        return Ok(Vec::new());
+    }
+    validate_grid(xs, ys, "interp1")?;
+    let mut cursor = SegmentCursor::new();
+    Ok(new_xs.iter().map(|&x| cursor.eval(xs, ys, x)).collect())
 }
 
 /// Finds the first time at which a piecewise-linear signal crosses `level`,

@@ -21,7 +21,9 @@
 //! * **Waveform memoization** — whole gate solves are memoized in a
 //!   [`WaveformCache`](mcsm_sta::WaveformCache) keyed by exact content
 //!   hashes ([`mcsm_num::hash`]), so warm queries skip the numerical engine
-//!   entirely.
+//!   entirely. The memo has a fixed byte budget, enforced by rotating its
+//!   generations between requests only, so a request's hits and misses do
+//!   not depend on the thread count.
 //!
 //! Transports: newline-delimited JSON-RPC over stdin/stdout
 //! ([`serve_stdio`]) or threaded TCP ([`serve_tcp`]), both serializing

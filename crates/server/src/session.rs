@@ -42,6 +42,14 @@ use mcsm_sta::TimingOptions;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Byte budget of a session's whole-gate-solve memo
+/// ([`WaveformCache::rotate_if_over`]). The session rotates the memo's
+/// generations between requests, never during one, so each request's memo
+/// hits and misses are the same at any thread count. At the default 4 ns
+/// window and 2 ps step an entry is about 16 KiB, so this keeps roughly
+/// the last 1,000–2,000 distinct solves.
+const MEMO_BUDGET_BYTES: usize = 32 << 20;
+
 /// Evaluation defaults of a session; individual fields can be overridden per
 /// `load_netlist` request.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,6 +192,8 @@ pub struct Session {
     config: SessionConfig,
     delay: DelayCache,
     waveforms: WaveformCache,
+    /// Byte budget of `waveforms`: [`MEMO_BUDGET_BYTES`] outside tests.
+    memo_budget: usize,
     circuit: Option<Circuit>,
     seq: u64,
     runs: u64,
@@ -314,6 +324,7 @@ impl Session {
             config,
             delay: DelayCache::new(),
             waveforms: WaveformCache::new(),
+            memo_budget: MEMO_BUDGET_BYTES,
             circuit: None,
             seq: 0,
             runs: 0,
@@ -328,6 +339,14 @@ impl Session {
     #[must_use]
     pub fn with_fault(mut self, fault: Option<Arc<FaultPlan>>) -> Self {
         self.fault = fault;
+        self
+    }
+
+    /// The same session with a different memo byte budget, so tests can force
+    /// generation rotation on small circuits.
+    #[cfg(test)]
+    pub(crate) fn with_memo_budget(mut self, bytes: usize) -> Self {
+        self.memo_budget = bytes;
         self
     }
 
@@ -413,6 +432,8 @@ impl Session {
             other => Err(ServeError::MethodNotFound(other.to_string())),
         };
         self.deadline = None;
+        // Between requests: the only point the memo may drop entries.
+        self.waveforms.rotate_if_over(self.memo_budget);
         let mut result = outcome?;
         if let JsonValue::Object(fields) = &mut result {
             fields.push(("seq".to_string(), num(seq as f64)));
@@ -1714,5 +1735,119 @@ mod tests {
             .handle("load_clock", &params(r#"{"clock": "G0", "period": 2e-9}"#))
             .unwrap_err();
         assert!(err.to_string().contains("CK"), "{err}");
+    }
+
+    /// A scripted c17 session of reads and edits whose edits revisit earlier
+    /// states, so a bounded memo sees hits in both generations.
+    fn memo_script() -> Vec<(&'static str, String)> {
+        let mut script = vec![("load_netlist", r#"{"builtin": "c17"}"#.to_string())];
+        for (i, net) in ["N1", "N2", "N3", "N6", "N7"].iter().enumerate() {
+            let t_start = 1e-9 + 20e-12 * i as f64;
+            script.push((
+                "set_drive",
+                format!(r#"{{"net": "{net}", "drive": {{"kind": "fall", "t_start": {t_start}}}}}"#),
+            ));
+        }
+        script.push(("arrival", r#"{"net": "N22"}"#.to_string()));
+        for round in 0..3 {
+            for farads in [1e-15, 3e-15, 5e-15] {
+                let net = if round % 2 == 0 { "N22" } else { "N23" };
+                script.push((
+                    "eco",
+                    format!(r#"{{"op": "set_net_load", "net": "{net}", "farads": {farads}}}"#),
+                ));
+                script.push(("waveform", format!(r#"{{"net": "{net}"}}"#)));
+            }
+            for kind in ["rise", "fall"] {
+                script.push((
+                    "set_drive",
+                    format!(
+                        r#"{{"net": "N3", "drive": {{"kind": "{kind}", "t_start": 1.04e-9}}}}"#
+                    ),
+                ));
+                script.push(("slew", r#"{"net": "N23", "rising": true}"#.to_string()));
+                script.push(("arrival", r#"{"net": "N23"}"#.to_string()));
+            }
+        }
+        script
+    }
+
+    /// Replays the script; returns each answer without its `seq`/`cache`
+    /// stamps, each request's memo (hits, misses), and how often the memo
+    /// shrank across a request boundary.
+    fn replay_memo_script(
+        library: &ModelLibrary,
+        threads: usize,
+        budget: usize,
+    ) -> (Vec<String>, Vec<(f64, f64)>, usize) {
+        let config = SessionConfig {
+            threads,
+            ..SessionConfig::default()
+        };
+        let mut session = Session::new(library.clone(), config).with_memo_budget(budget);
+        let (mut answers, mut counts, mut shrinks) = (Vec::new(), Vec::new(), 0);
+        for (method, text) in memo_script() {
+            let before = session.waveforms.len();
+            let JsonValue::Object(fields) = session.handle(method, &params(&text)).unwrap() else {
+                panic!("{method} answered a non-object");
+            };
+            if session.waveforms.len() < before {
+                shrinks += 1;
+            }
+            let (mut kept, mut cache) = (Vec::new(), None);
+            for (key, value) in fields {
+                match key.as_str() {
+                    "seq" => {}
+                    "cache" => cache = Some(value),
+                    _ => kept.push((key, value)),
+                }
+            }
+            let cache = cache.expect("every answer carries its cache deltas");
+            let count = |key: &str| cache.get(key).and_then(JsonValue::as_f64).unwrap();
+            counts.push((count("waveform_hits"), count("waveform_misses")));
+            answers.push(JsonValue::Object(kept).to_string_compact());
+        }
+        (answers, counts, shrinks)
+    }
+
+    #[test]
+    fn a_memo_small_enough_to_rotate_answers_like_an_unbounded_one() {
+        let library = ModelLibrary::characterize(
+            &Technology::cmos_130nm(),
+            &[CellKind::Inverter, CellKind::Nand2, CellKind::Nor2],
+            &CharacterizationConfig::coarse(),
+        )
+        .unwrap();
+        let (unbounded, unbounded_counts, unbounded_shrinks) =
+            replay_memo_script(&library, 1, usize::MAX);
+        assert_eq!(unbounded_shrinks, 0);
+        // About three 2,001-sample solves: the current generation passes
+        // half the budget after almost every re-solving request.
+        let budget = 100 << 10;
+        let (answers, counts, shrinks) = replay_memo_script(&library, 1, budget);
+        assert!(shrinks > 0, "the small budget never rotated");
+        assert_eq!(answers, unbounded, "rotation changed an answer");
+        let total = |counts: &[(f64, f64)]| {
+            counts
+                .iter()
+                .fold((0.0, 0.0), |acc, c| (acc.0 + c.0, acc.1 + c.1))
+        };
+        let (hits, misses) = total(&counts);
+        let (unbounded_hits, unbounded_misses) = total(&unbounded_counts);
+        assert!(hits > 0.0, "no solve survived a rotation");
+        assert!(
+            misses > unbounded_misses && hits < unbounded_hits,
+            "rotation evicted nothing: {misses} vs {unbounded_misses} misses"
+        );
+        // Rotation happens between requests only, so every request sees the
+        // same memo and counts the same hits and misses at any thread count.
+        for threads in [2, 8] {
+            let (threaded, threaded_counts, _) = replay_memo_script(&library, threads, budget);
+            assert_eq!(threaded, answers, "{threads} threads changed an answer");
+            assert_eq!(
+                threaded_counts, counts,
+                "{threads} threads changed memo counts"
+            );
+        }
     }
 }

@@ -6,17 +6,23 @@
 //! normalized RMSE between a model waveform and a SPICE reference.
 
 use crate::error::SpiceError;
-use mcsm_num::interp::{first_crossing, interp1, resample};
+use mcsm_num::interp::{first_crossing, interp1_unchecked, resample, SegmentCursor};
 use mcsm_num::stats;
 use std::sync::Arc;
 
-/// A sampled signal: strictly increasing times with one value per time point.
+/// A sampled signal: strictly increasing, finite times with one value per
+/// time point.
+///
+/// Every constructor checks that invariant once, so evaluation never
+/// re-validates the time vector: [`Waveform::value_at`] is an O(log n)
+/// search and [`Waveform::value_at_with`] O(1) amortized along a sweep.
+/// There is no empty waveform.
 ///
 /// The time vector is reference-counted so families of waveforms sampled on
 /// one time base (a simulation output plus its internal-node traces, every
 /// signal of one transient analysis) can share a single allocation — see
 /// [`Waveform::with_shared_times`].
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Waveform {
     times: Arc<Vec<f64>>,
     values: Vec<f64>,
@@ -28,7 +34,7 @@ impl Waveform {
     /// # Errors
     ///
     /// Returns [`SpiceError::InvalidParameter`] if the vectors differ in length,
-    /// are empty, or the times are not strictly increasing.
+    /// are empty, or the times are not finite and strictly increasing.
     pub fn new(times: Vec<f64>, values: Vec<f64>) -> Result<Self, SpiceError> {
         Waveform::with_shared_times(Arc::new(times), values)
     }
@@ -51,6 +57,11 @@ impl Waveform {
             return Err(SpiceError::InvalidParameter(
                 "waveform needs at least one sample".into(),
             ));
+        }
+        if let Some(bad) = times.iter().find(|t| !t.is_finite()) {
+            return Err(SpiceError::InvalidParameter(format!(
+                "waveform times must be finite, got {bad}"
+            )));
         }
         for w in times.windows(2) {
             if w[1] <= w[0] {
@@ -76,6 +87,12 @@ impl Waveform {
     /// Sample values.
     pub fn values(&self) -> &[f64] {
         &self.values
+    }
+
+    /// Consumes the waveform, returning its sample values without copying
+    /// them (e.g. to rebuild it on an equal, shared time vector).
+    pub fn into_values(self) -> Vec<f64> {
+        self.values
     }
 
     /// Number of samples.
@@ -104,8 +121,21 @@ impl Waveform {
     }
 
     /// Linearly interpolated value at time `t` (clamped outside the range).
+    ///
+    /// An O(log n) search: the constructor already validated the time
+    /// vector, so this calls the unchecked kernel
+    /// ([`mcsm_num::interp::interp1_unchecked`]) and is bit-identical to
+    /// `interp1` over the same samples.
     pub fn value_at(&self, t: f64) -> f64 {
-        interp1(&self.times, &self.values, t).expect("waveform invariants guarantee valid interp")
+        interp1_unchecked(&self.times, &self.values, t)
+    }
+
+    /// [`Waveform::value_at`] through a caller-held segment cursor: O(1)
+    /// amortized when successive queries move a bounded number of samples
+    /// (a time-stepping loop), bit-identical to `value_at` for any query
+    /// order. Keep one cursor per waveform.
+    pub fn value_at_with(&self, cursor: &mut SegmentCursor, t: f64) -> f64 {
+        cursor.eval(&self.times, &self.values, t)
     }
 
     /// Canonical content hash of the waveform: a seed-free FNV-1a over the
@@ -123,13 +153,20 @@ impl Waveform {
 
     /// Resamples the waveform onto the given time points.
     ///
+    /// One merge walk over both grids (O(m + n)); the values are
+    /// bit-identical to [`Waveform::value_at`] at every point. The new time
+    /// base is validated once, by the constructor of the result.
+    ///
     /// # Errors
     ///
     /// Returns [`SpiceError::InvalidParameter`] if the new time base is invalid.
     pub fn resample_onto(&self, new_times: &[f64]) -> Result<Waveform, SpiceError> {
-        let values =
-            resample(&self.times, &self.values, new_times).map_err(SpiceError::Numerical)?;
-        Waveform::new(new_times.to_vec(), values)
+        Waveform::new(new_times.to_vec(), self.resampled_values(new_times)?)
+    }
+
+    /// The values at `new_times`, one merge walk over both grids.
+    fn resampled_values(&self, new_times: &[f64]) -> Result<Vec<f64>, SpiceError> {
+        resample(&self.times, &self.values, new_times).map_err(SpiceError::Numerical)
     }
 
     /// Time of the first crossing of `level` in the requested direction, if any.
@@ -185,11 +222,18 @@ impl Waveform {
     /// untouched, so shape measurements (slews, excursions) are invariant and
     /// crossings move by exactly `offset` — the re-timing step of a waveform
     /// handoff.
-    pub fn shifted(&self, offset: f64) -> Waveform {
-        Waveform {
-            times: Arc::new(self.times.iter().map(|&t| t + offset).collect()),
-            values: self.values.clone(),
-        }
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpiceError::InvalidParameter`] if the shifted times break the
+    /// waveform invariant: a non-finite offset, or rounding of `t + offset`
+    /// that merges two neighbouring samples (a large offset against closely
+    /// spaced samples).
+    pub fn shifted(&self, offset: f64) -> Result<Waveform, SpiceError> {
+        Waveform::with_shared_times(
+            Arc::new(self.times.iter().map(|&t| t + offset).collect()),
+            self.values.clone(),
+        )
     }
 
     /// Minimum sample value.
@@ -288,17 +332,18 @@ impl Waveform {
     /// Normalized RMSE against a reference waveform over the reference's time base
     /// (the paper's Eq. 6 divided by `scale`).
     ///
+    /// One merge walk over both time bases; no resampled waveform is built.
+    ///
     /// # Errors
     ///
-    /// Propagates resampling errors.
+    /// Propagates the statistics layer's errors (a non-positive `scale`).
     pub fn normalized_rmse_against(
         &self,
         reference: &Waveform,
         scale: f64,
     ) -> Result<f64, SpiceError> {
-        let mine = self.resample_onto(reference.times())?;
-        stats::normalized_rmse(reference.values(), mine.values(), scale)
-            .map_err(SpiceError::Numerical)
+        let mine = self.resampled_values(reference.times())?;
+        stats::normalized_rmse(reference.values(), &mine, scale).map_err(SpiceError::Numerical)
     }
 }
 
@@ -528,17 +573,34 @@ mod tests {
     #[test]
     fn shifted_waveform_moves_crossings_by_the_offset() {
         let w = ramp_waveform();
-        let delayed = w.shifted(0.5e-9);
+        let delayed = w.shifted(0.5e-9).unwrap();
         assert_eq!(delayed.values(), w.values());
         let t0 = w.crossing(0.6, true).unwrap();
         let t1 = delayed.crossing(0.6, true).unwrap();
         assert!((t1 - t0 - 0.5e-9).abs() < 1e-12);
         // Negative offsets advance; shape metrics are invariant.
-        let advanced = w.shifted(-0.25e-9);
+        let advanced = w.shifted(-0.25e-9).unwrap();
         assert!((advanced.t_start() + 0.25e-9).abs() < 1e-15);
         let tt_advanced = advanced.transition_time(1.2, true).unwrap();
         let tt_original = w.transition_time(1.2, true).unwrap();
         assert!((tt_advanced - tt_original).abs() < 1e-18);
+    }
+
+    #[test]
+    fn shifted_rejects_offsets_that_break_the_invariant() {
+        let w = ramp_waveform();
+        // Non-finite offsets leave no valid time base.
+        for offset in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(w.shifted(offset).is_err(), "offset {offset}");
+        }
+        // At 10^7 s one ulp is ~1.9 ns, wider than the 0.1 ns sample
+        // spacing, so rounding merges neighbours: an error, not a zero-width
+        // segment.
+        assert!(w.shifted(1e7).is_err());
+        // Construction rejects non-finite times directly too.
+        assert!(Waveform::new(vec![0.0, f64::NAN], vec![0.0, 1.0]).is_err());
+        assert!(Waveform::new(vec![f64::NAN], vec![0.0]).is_err());
+        assert!(Waveform::new(vec![0.0, f64::INFINITY], vec![0.0, 1.0]).is_err());
     }
 
     #[test]

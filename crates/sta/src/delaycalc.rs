@@ -39,7 +39,7 @@ use mcsm_core::CsmError;
 use mcsm_spice::waveform::Waveform;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 /// Which model family the calculator prefers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -247,6 +247,78 @@ impl DelayCache {
 /// the input drives, exact load bits)`.
 type WaveformKey = (CellKind, BackendKey, u64, u64);
 
+/// Bytes a memo entry is charged beyond its value samples: the key, the
+/// `Waveform` header and its hash-map slot, rounded up.
+const ENTRY_OVERHEAD_BYTES: usize = 96;
+
+/// What one memoized solve costs in the byte budget.
+fn entry_bytes(waveform: &Waveform) -> usize {
+    waveform.len() * std::mem::size_of::<f64>() + ENTRY_OVERHEAD_BYTES
+}
+
+/// Whether two time axes are equal to the bit (so one can stand in for the
+/// other without changing any result).
+fn same_axis(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The memo's two generations plus the interned time axes their waveforms
+/// share. Lookups consult `current`, then `previous`; a hit in `previous`
+/// moves the entry into `current`.
+#[derive(Debug, Default)]
+struct Generations {
+    current: HashMap<WaveformKey, Waveform>,
+    previous: HashMap<WaveformKey, Waveform>,
+    current_bytes: usize,
+    previous_bytes: usize,
+    /// One shared time vector per distinct axis among the stored solves.
+    axes: Vec<Arc<Vec<f64>>>,
+}
+
+impl Generations {
+    /// The stored copy of `key`, promoting it from the previous generation.
+    fn lookup(&mut self, key: &WaveformKey) -> Option<Waveform> {
+        if let Some(found) = self.current.get(key) {
+            return Some(found.clone());
+        }
+        let promoted = self.previous.remove(key)?;
+        let bytes = entry_bytes(&promoted);
+        self.previous_bytes -= bytes;
+        self.current_bytes += bytes;
+        self.current.insert(*key, promoted.clone());
+        Some(promoted)
+    }
+
+    /// Stores a fresh solve on the interned copy of its time axis and
+    /// returns the stored form (bit-identical to `waveform`).
+    fn insert(&mut self, key: WaveformKey, waveform: Waveform) -> Waveform {
+        let axis = match self
+            .axes
+            .iter()
+            .find(|axis| same_axis(axis, waveform.times()))
+        {
+            Some(axis) => Arc::clone(axis),
+            None => {
+                let axis = waveform.shared_times();
+                self.axes.push(Arc::clone(&axis));
+                axis
+            }
+        };
+        let stored = Waveform::with_shared_times(axis, waveform.into_values())
+            .expect("an axis bit-equal to a valid waveform's is valid");
+        self.current_bytes += entry_bytes(&stored);
+        self.current.insert(key, stored.clone());
+        stored
+    }
+
+    fn axes_bytes(&self) -> usize {
+        self.axes
+            .iter()
+            .map(|axis| axis.len() * std::mem::size_of::<f64>())
+            .sum()
+    }
+}
+
 /// A memoization cache for entire gate solves: the output [`Waveform`] keyed
 /// by `(cell kind, backend, input-waveform hash, load)`. A warm lookup skips
 /// the numerical engine completely — this is what makes repeated queries
@@ -263,15 +335,33 @@ type WaveformKey = (CellKind, BackendKey, u64, u64);
 /// thread count. Warm *repeats* — the case that matters — present the same
 /// bits and still hit.
 ///
+/// **Shared time axes.** Every solve with the same `(t_stop, dt)` produces
+/// the same time vector, so the cache keeps one copy per distinct axis
+/// (compared to the bit) and stores each solve's values on it. Returned
+/// waveforms share that axis; they are bit-identical to the solve's own.
+///
+/// **Bounded by generational rotation.** Entries live in a *current* and a
+/// *previous* generation; a hit in the previous one promotes the entry to
+/// the current one. [`WaveformCache::rotate_if_over`] drops the previous
+/// generation and starts an empty current one once the current generation
+/// holds more than half of a byte budget, so a caller that rotates between
+/// units of work keeps the resident entry bytes within the budget plus what
+/// two units add. Nothing is ever evicted *during* a unit, which keeps the
+/// determinism rule below: the entries present when a unit starts are a
+/// function of the previous units alone, so each unit's hits and misses are
+/// the same at any thread count. Without rotation the cache grows without
+/// bound, as one batch run needs.
+///
 /// **Scope: one model library per cache**, exactly as for [`DelayCache`]: the
 /// key identifies the gate solve, not the library it was solved against.
 /// [`WaveformCache::clear`] is the reset for sessions that swap libraries.
 ///
 /// Hit/miss counters use the same deterministic double-check pattern as
-/// [`DelayCache`]: exactly one miss per distinct key at any thread count.
+/// [`DelayCache`]: exactly one miss per distinct key per unit of work at any
+/// thread count.
 #[derive(Debug, Default)]
 pub struct WaveformCache {
-    solves: RwLock<HashMap<WaveformKey, Waveform>>,
+    solves: RwLock<Generations>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -292,9 +382,10 @@ impl WaveformCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of memoized gate solves.
+    /// Number of memoized gate solves (both generations).
     pub fn len(&self) -> usize {
-        self.solves.read().expect("waveform cache poisoned").len()
+        let solves = self.solves.read().expect("waveform cache poisoned");
+        solves.current.len() + solves.previous.len()
     }
 
     /// Whether the cache holds no entries.
@@ -302,14 +393,39 @@ impl WaveformCache {
         self.len() == 0
     }
 
+    /// Bytes the cache holds: every entry's values and fixed overhead plus
+    /// one copy of each shared time axis.
+    pub fn bytes(&self) -> usize {
+        let solves = self.solves.read().expect("waveform cache poisoned");
+        solves.current_bytes + solves.previous_bytes + solves.axes_bytes()
+    }
+
     /// Drops every memoized solve and resets the hit/miss counters.
     pub fn clear(&self) {
-        self.solves
-            .write()
-            .expect("waveform cache poisoned")
-            .clear();
+        *self.solves.write().expect("waveform cache poisoned") = Generations::default();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
+    }
+
+    /// Starts a new generation if the current one holds more than half of
+    /// `budget_bytes`: the previous generation is dropped, the current one
+    /// becomes the previous, and time axes no stored solve uses any more are
+    /// released. Returns whether it rotated.
+    ///
+    /// Call it only between units of work (the server calls it between
+    /// requests), never while lookups may be running: rotating mid-unit
+    /// would make the unit's hits depend on the order of its fills.
+    pub fn rotate_if_over(&self, budget_bytes: usize) -> bool {
+        let mut solves = self.solves.write().expect("waveform cache poisoned");
+        if solves.current_bytes <= budget_bytes / 2 {
+            return false;
+        }
+        // Dropping the old previous generation here releases its entries'
+        // hold on their axes before the unused ones are pruned.
+        solves.previous = std::mem::take(&mut solves.current);
+        solves.previous_bytes = std::mem::take(&mut solves.current_bytes);
+        solves.axes.retain(|axis| Arc::strong_count(axis) > 1);
+        true
     }
 
     /// The memoized solve for `key`, computing it with `compute` on the first
@@ -319,36 +435,40 @@ impl WaveformCache {
         key: WaveformKey,
         compute: impl FnOnce() -> Result<Waveform, StaError>,
     ) -> Result<Waveform, StaError> {
-        if let Some(cached) = self
-            .solves
-            .read()
-            .expect("waveform cache poisoned")
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(cached.clone());
+        let in_previous = {
+            let solves = self.solves.read().expect("waveform cache poisoned");
+            if let Some(found) = solves.current.get(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(found.clone());
+            }
+            solves.previous.contains_key(&key)
+        };
+        // A previous-generation entry is promoted under the write lock (a
+        // concurrent promoter may have moved it already; `lookup` finds it
+        // in either generation).
+        if in_previous {
+            let promoted = self
+                .solves
+                .write()
+                .expect("waveform cache poisoned")
+                .lookup(&key);
+            if let Some(found) = promoted {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(found);
+            }
         }
         let waveform = compute()?;
         // Re-check under the write lock (see `DelayCache::pin_capacitance`):
         // a concurrent filler of the same key counts as a hit, so exactly one
         // miss is recorded per distinct key. Either copy may be returned —
         // concurrent fills of the same key compute bit-identical waveforms.
-        match self
-            .solves
-            .write()
-            .expect("waveform cache poisoned")
-            .entry(key)
-        {
-            std::collections::hash_map::Entry::Occupied(slot) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Ok(slot.get().clone())
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                slot.insert(waveform.clone());
-                Ok(waveform)
-            }
+        let mut solves = self.solves.write().expect("waveform cache poisoned");
+        if let Some(found) = solves.lookup(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(found);
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        Ok(solves.insert(key, waveform))
     }
 }
 
@@ -951,6 +1071,51 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
+    }
+
+    #[test]
+    fn memo_shares_time_axes_and_rotates_generations() {
+        let axis = |n: usize| (0..n).map(|i| i as f64 * 1e-12).collect::<Vec<f64>>();
+        let solve = |n: usize, level: f64| Waveform::new(axis(n), vec![level; n]).unwrap();
+        let key = |i: u64| (CellKind::Nand2, (2, 0), i, 0);
+        let memo = WaveformCache::new();
+        let fill = |i: u64, n: usize| memo.solve(key(i), || Ok(solve(n, i as f64))).unwrap();
+
+        // Equal axes from separate solves are stored (and returned) as one.
+        let a = fill(1, 100);
+        let b = fill(2, 100);
+        let c = fill(3, 50);
+        assert_eq!(a, solve(100, 1.0));
+        assert_eq!(a.times().as_ptr(), b.times().as_ptr());
+        assert_ne!(a.times().as_ptr(), c.times().as_ptr());
+        let entries = 2 * entry_bytes(&a) + entry_bytes(&c);
+        assert_eq!(memo.bytes(), entries + (100 + 50) * 8);
+        assert_eq!((memo.hits(), memo.misses(), memo.len()), (0, 3, 3));
+
+        // Under half the budget nothing rotates.
+        assert!(!memo.rotate_if_over(2 * entries));
+        // Over it, the entries move to the previous generation: still hits,
+        // promoted back into the current one without recomputing.
+        assert!(memo.rotate_if_over(entries));
+        assert_eq!(memo.len(), 3);
+        let promoted = memo
+            .solve(key(1), || panic!("a previous-generation entry recomputed"))
+            .unwrap();
+        assert_eq!(promoted, a);
+        assert_eq!((memo.hits(), memo.misses()), (1, 3));
+
+        // The next rotation drops what was not promoted, and releases the
+        // axis only a dropped entry used.
+        drop(c);
+        assert!(memo.rotate_if_over(0));
+        assert_eq!(memo.len(), 1);
+        assert_eq!(memo.bytes(), entry_bytes(&a) + 100 * 8);
+        // An empty current generation never rotates the previous one away.
+        assert!(!memo.rotate_if_over(0));
+        assert_eq!(memo.len(), 1);
+        // A dropped entry is a miss again.
+        assert_eq!(fill(3, 50), solve(50, 3.0));
+        assert_eq!((memo.hits(), memo.misses(), memo.len()), (1, 4, 2));
     }
 
     #[test]

@@ -248,7 +248,7 @@ fn netsim_parallel_is_bit_identical_at_1_2_8_threads() {
     let mut drives = HashMap::new();
     for (i, &pi) in netlist.primary_inputs().iter().enumerate() {
         let drive = if i % 2 == 0 {
-            DriveWaveform::from_waveform(base_ramp.shifted(30e-12 * i as f64))
+            DriveWaveform::from_waveform(base_ramp.shifted(30e-12 * i as f64).unwrap())
         } else {
             DriveWaveform::dc(vdd)
         };
