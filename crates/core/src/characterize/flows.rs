@@ -16,7 +16,9 @@ use crate::config::CharacterizationConfig;
 use crate::error::CsmError;
 use crate::model::{McsmModel, MisBaselineModel, SisModel};
 use crate::store::ModelStore;
-use crate::table::{voltage_axis, Table1, Table2, Table3, Table4};
+use crate::table::{
+    voltage_axis, Table1, Table2, Table2Group, Table3, Table3Group, Table4, Table4Group,
+};
 use mcsm_cells::cell::{CellKind, CellTemplate};
 use mcsm_num::grid::Axis;
 use mcsm_num::lut::LutNd;
@@ -186,12 +188,13 @@ pub fn characterize_mcsm(
     Ok(McsmModel {
         cell_name: kind.name().to_string(),
         vdd,
-        io,
-        i_n,
-        cm_a: Table4::new(cm_a_lut)?,
-        cm_b: Table4::new(cm_b_lut)?,
-        c_o: Table4::new(c_o_lut)?,
-        c_n: Table4::new(c_n_lut)?,
+        currents: Table4Group::new([io, i_n])?,
+        caps: Table4Group::new([
+            Table4::new(cm_a_lut)?,
+            Table4::new(cm_b_lut)?,
+            Table4::new(c_o_lut)?,
+            Table4::new(c_n_lut)?,
+        ])?,
         c_in_a: Table1::new(c_in_a)?,
         c_in_b: Table1::new(c_in_b)?,
     })
@@ -267,10 +270,12 @@ pub fn characterize_mis_baseline(
     Ok(MisBaselineModel {
         cell_name: kind.name().to_string(),
         vdd,
-        io,
-        cm_a: Table3::new(cm_a_lut)?,
-        cm_b: Table3::new(cm_b_lut)?,
-        c_o: Table3::new(c_o_lut)?,
+        currents: Table3Group::new([io])?,
+        caps: Table3Group::new([
+            Table3::new(cm_a_lut)?,
+            Table3::new(cm_b_lut)?,
+            Table3::new(c_o_lut)?,
+        ])?,
         c_in_a: Table1::new(c_in_a)?,
         c_in_b: Table1::new(c_in_b)?,
     })
@@ -335,9 +340,8 @@ pub fn characterize_sis(
         vdd,
         switching_pin,
         other_inputs_high: kind.non_controlling_value(),
-        io,
-        cm: Table2::new(cm_lut)?,
-        c_o: Table2::new(c_o_lut)?,
+        currents: Table2Group::new([io])?,
+        caps: Table2Group::new([Table2::new(cm_lut)?, Table2::new(c_o_lut)?])?,
         c_in: Table1::new(c_in)?,
     })
 }

@@ -1,11 +1,14 @@
 //! Per-run evaluation scratch threaded through the model hot loops.
 //!
 //! Every explicit/predictor–corrector sub-step of the simulation engine (paper
-//! Eqs. (4)–(5)) queries the model's current and capacitance tables. An
-//! [`EvalState`] carries one [`LutCursor`] per table so those queries are
-//! allocation-free and O(1) amortized (consecutive sub-steps land in the same
-//! or an adjacent grid cell — see `mcsm_num::lut`), plus a lookup counter the
-//! benchmarks report as "LUT evals".
+//! Eqs. (4)–(5)) queries the model's current and capacitance tables. Tables a
+//! model reads at the same point on a shared grid form one group
+//! ([`crate::table::Table4Group`] and its 3-D/2-D twins), located once per
+//! query. An [`EvalState`] carries one [`LutCursor`] per group so those
+//! queries are allocation-free and O(1) amortized (consecutive sub-steps land
+//! in the same or an adjacent grid cell — see `mcsm_num::lut`), plus a lookup
+//! counter the benchmarks report as "LUT evals": one per component table
+//! interpolated.
 //!
 //! The state is created by [`crate::model::CellModel::make_eval_state`] — each
 //! model family knows how many tables it queries — and threaded by the engine
@@ -29,11 +32,11 @@ pub enum EvalMode {
     Reference,
 }
 
-/// Scratch state for one simulation run: a lookup cursor per model table and a
-/// lookup counter.
+/// Scratch state for one simulation run: a lookup cursor per model table group
+/// and a lookup counter.
 ///
-/// Cursors are keyed by *slot* — a small per-model table index (e.g. the MCSM
-/// assigns `I_o` slot 0, `I_N` slot 1, …). Reusing one state across many
+/// Cursors are keyed by *slot* — a small per-model group index (e.g. the MCSM
+/// assigns its current tables slot 0 and its capacitance tables slot 1). Reusing one state across many
 /// sub-steps is what makes lookups O(1) amortized; reusing it across unrelated
 /// runs is harmless (a stale cursor only costs a fallback locate).
 #[derive(Debug, Clone)]
@@ -44,7 +47,7 @@ pub struct EvalState {
 }
 
 impl EvalState {
-    /// Creates a fast-mode state with `slots` table cursors.
+    /// Creates a fast-mode state with `slots` table-group cursors.
     pub fn fast(slots: usize) -> Self {
         EvalState {
             mode: EvalMode::Fast,
@@ -64,12 +67,12 @@ impl EvalState {
         self.mode
     }
 
-    /// Number of table slots.
+    /// Number of table-group slots.
     pub fn slots(&self) -> usize {
         self.cursors.len()
     }
 
-    /// The cursor of one table slot.
+    /// The cursor of one table-group slot.
     ///
     /// # Panics
     ///
@@ -78,12 +81,13 @@ impl EvalState {
         &mut self.cursors[slot]
     }
 
-    /// Records one table lookup (called by the table evaluation helpers).
-    pub fn count_lookup(&mut self) {
-        self.lookups += 1;
+    /// Records `n` component-table lookups (called by the table evaluation
+    /// helpers: a grouped lookup interpolates each of its `n` members).
+    pub fn count_lookups(&mut self, n: u64) {
+        self.lookups += n;
     }
 
-    /// Total table lookups recorded so far.
+    /// Total component-table lookups recorded so far.
     pub fn lookups(&self) -> u64 {
         self.lookups
     }
@@ -99,9 +103,9 @@ mod tests {
         assert_eq!(st.slots(), 3);
         assert_eq!(st.mode(), EvalMode::Fast);
         assert_eq!(st.lookups(), 0);
-        st.count_lookup();
-        st.count_lookup();
-        assert_eq!(st.lookups(), 2);
+        st.count_lookups(1);
+        st.count_lookups(4);
+        assert_eq!(st.lookups(), 5);
         st.set_mode(EvalMode::Reference);
         assert_eq!(st.mode(), EvalMode::Reference);
         // Cursors are reachable for every slot.

@@ -16,44 +16,39 @@
 use crate::error::CsmError;
 use crate::eval::EvalState;
 use crate::model::CellModel;
-use crate::table::{Table1, Table4};
+use crate::table::{Table1, Table4, Table4Group};
 use mcsm_num::json::{FromJson, JsonError, JsonValue, ToJson};
 use mcsm_num::lut::LutCursor;
 
-/// [`EvalState`] slot of the output-current table `I_o`.
-const SLOT_IO: usize = 0;
-/// [`EvalState`] slot of the internal-node current table `I_N`.
-const SLOT_IN: usize = 1;
-/// [`EvalState`] slot of the `C_mA` table.
-const SLOT_CMA: usize = 2;
-/// [`EvalState`] slot of the `C_mB` table.
-const SLOT_CMB: usize = 3;
-/// [`EvalState`] slot of the `C_o` table.
-const SLOT_CO: usize = 4;
-/// [`EvalState`] slot of the `C_N` table.
-const SLOT_CN: usize = 5;
-/// Tables the complete MCSM queries from the hot loop.
-const SLOTS: usize = 6;
+/// [`EvalState`] slot of the current group `[I_o, I_N]`.
+const SLOT_CURRENTS: usize = 0;
+/// [`EvalState`] slot of the capacitance group `[C_mA, C_mB, C_o, C_N]`.
+const SLOT_CAPS: usize = 1;
+/// Table groups the complete MCSM queries from the hot loop.
+const SLOTS: usize = 2;
+/// Stored names of the current group's members, in group order.
+const CURRENT_NAMES: [&str; 2] = ["io", "i_n"];
+/// Stored names of the capacitance group's members, in group order.
+const CAP_NAMES: [&str; 4] = ["cm_a", "cm_b", "c_o", "c_n"];
 
 /// The complete multiple-input-switching current-source model of one cell.
+///
+/// The 4-D components are held in two groups, one per characterization grid,
+/// so the hot loop locates each operating point once per grid (see
+/// [`crate::table`]); the accessors ([`McsmModel::io`] …) name the members.
 #[derive(Debug, Clone, PartialEq)]
 pub struct McsmModel {
     /// Name of the characterized cell (e.g. `"NOR2"`).
     pub cell_name: String,
     /// Supply voltage the model was characterized at (volts).
     pub vdd: f64,
-    /// Output current source `I_o(V_A, V_B, V_N, V_o)` (amps, into the cell).
-    pub io: Table4,
-    /// Internal-node current source `I_N(V_A, V_B, V_N, V_o)` (amps, into the cell).
-    pub i_n: Table4,
-    /// Miller capacitance between input A and the output (farads).
-    pub cm_a: Table4,
-    /// Miller capacitance between input B and the output (farads).
-    pub cm_b: Table4,
-    /// Output parasitic capacitance (farads).
-    pub c_o: Table4,
-    /// Internal-node capacitance (farads).
-    pub c_n: Table4,
+    /// `[I_o, I_N]`: the output and internal-node current sources over
+    /// `(V_A, V_B, V_N, V_o)` (amps, into the cell), on the current grid.
+    pub currents: Table4Group<2>,
+    /// `[C_mA, C_mB, C_o, C_N]`: the Miller capacitances of inputs A and B,
+    /// the output parasitic and the internal-node capacitance (farads), on
+    /// the capacitance grid.
+    pub caps: Table4Group<4>,
     /// Input pin capacitance of A (farads), used for receiver loading.
     pub c_in_a: Table1,
     /// Input pin capacitance of B (farads), used for receiver loading.
@@ -61,23 +56,53 @@ pub struct McsmModel {
 }
 
 impl McsmModel {
+    /// Output current source `I_o` table.
+    pub fn io(&self) -> &Table4 {
+        &self.currents.tables()[0]
+    }
+
+    /// Internal-node current source `I_N` table.
+    pub fn i_n(&self) -> &Table4 {
+        &self.currents.tables()[1]
+    }
+
+    /// Miller capacitance table between input A and the output.
+    pub fn cm_a(&self) -> &Table4 {
+        &self.caps.tables()[0]
+    }
+
+    /// Miller capacitance table between input B and the output.
+    pub fn cm_b(&self) -> &Table4 {
+        &self.caps.tables()[1]
+    }
+
+    /// Output parasitic capacitance table.
+    pub fn c_o(&self) -> &Table4 {
+        &self.caps.tables()[2]
+    }
+
+    /// Internal-node capacitance table.
+    pub fn c_n(&self) -> &Table4 {
+        &self.caps.tables()[3]
+    }
+
     /// Output current source at the given node voltages (amps, into the cell).
     pub fn output_current(&self, v_a: f64, v_b: f64, v_n: f64, v_o: f64) -> f64 {
-        self.io.eval(v_a, v_b, v_n, v_o)
+        self.io().eval(v_a, v_b, v_n, v_o)
     }
 
     /// Internal-node current source at the given node voltages (amps, into the cell).
     pub fn internal_current(&self, v_a: f64, v_b: f64, v_n: f64, v_o: f64) -> f64 {
-        self.i_n.eval(v_a, v_b, v_n, v_o)
+        self.i_n().eval(v_a, v_b, v_n, v_o)
     }
 
     /// The four capacitances `(C_mA, C_mB, C_o, C_N)` at the given node voltages.
     pub fn capacitances(&self, v_a: f64, v_b: f64, v_n: f64, v_o: f64) -> (f64, f64, f64, f64) {
         (
-            self.cm_a.eval(v_a, v_b, v_n, v_o),
-            self.cm_b.eval(v_a, v_b, v_n, v_o),
-            self.c_o.eval(v_a, v_b, v_n, v_o),
-            self.c_n.eval(v_a, v_b, v_n, v_o),
+            self.cm_a().eval(v_a, v_b, v_n, v_o),
+            self.cm_b().eval(v_a, v_b, v_n, v_o),
+            self.c_o().eval(v_a, v_b, v_n, v_o),
+            self.c_n().eval(v_a, v_b, v_n, v_o),
         )
     }
 
@@ -110,7 +135,7 @@ impl McsmModel {
         // and the bisection stays inside one bracketing cell — exactly the
         // temporally coherent access pattern the lookup cursor turns into O(1)
         // lookups (bit-identical to the reference evaluation).
-        let lut = self.i_n.lut();
+        let lut = self.i_n().lut();
         let mut cursor = LutCursor::new();
         let mut i_at = |v_n: f64| {
             lut.eval_with_cursor(&mut cursor, &[v_a, v_b, v_n, v_o])
@@ -197,12 +222,11 @@ impl CellModel for McsmModel {
         v_out: f64,
         buf: &mut [f64],
     ) {
-        buf[0] = self
-            .io
-            .eval_with(eval, SLOT_IO, pins[0], pins[1], state[0], v_out);
-        buf[1] = self
-            .i_n
-            .eval_with(eval, SLOT_IN, pins[0], pins[1], state[0], v_out);
+        let [io, i_n] =
+            self.currents
+                .eval_with(eval, SLOT_CURRENTS, pins[0], pins[1], state[0], v_out);
+        buf[0] = io;
+        buf[1] = i_n;
     }
 
     fn capacitances(
@@ -214,18 +238,12 @@ impl CellModel for McsmModel {
         miller: &mut [f64],
         state_caps: &mut [f64],
     ) -> f64 {
-        miller[0] = self
-            .cm_a
-            .eval_with(eval, SLOT_CMA, pins[0], pins[1], state[0], v_out);
-        miller[1] = self
-            .cm_b
-            .eval_with(eval, SLOT_CMB, pins[0], pins[1], state[0], v_out);
-        let c_o = self
-            .c_o
-            .eval_with(eval, SLOT_CO, pins[0], pins[1], state[0], v_out);
-        state_caps[0] = self
-            .c_n
-            .eval_with(eval, SLOT_CN, pins[0], pins[1], state[0], v_out);
+        let [cm_a, cm_b, c_o, c_n] = self
+            .caps
+            .eval_with(eval, SLOT_CAPS, pins[0], pins[1], state[0], v_out);
+        miller[0] = cm_a;
+        miller[1] = cm_b;
+        state_caps[0] = c_n;
         c_o
     }
 
@@ -244,21 +262,18 @@ impl CellModel for McsmModel {
 
 impl ToJson for McsmModel {
     fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
+        let mut fields = vec![
             (
                 "cell_name".into(),
                 JsonValue::String(self.cell_name.clone()),
             ),
             ("vdd".into(), JsonValue::Number(self.vdd)),
-            ("io".into(), self.io.to_json()),
-            ("i_n".into(), self.i_n.to_json()),
-            ("cm_a".into(), self.cm_a.to_json()),
-            ("cm_b".into(), self.cm_b.to_json()),
-            ("c_o".into(), self.c_o.to_json()),
-            ("c_n".into(), self.c_n.to_json()),
-            ("c_in_a".into(), self.c_in_a.to_json()),
-            ("c_in_b".into(), self.c_in_b.to_json()),
-        ])
+        ];
+        self.currents.write_json(CURRENT_NAMES, &mut fields);
+        self.caps.write_json(CAP_NAMES, &mut fields);
+        fields.push(("c_in_a".into(), self.c_in_a.to_json()));
+        fields.push(("c_in_b".into(), self.c_in_b.to_json()));
+        JsonValue::Object(fields)
     }
 }
 
@@ -274,12 +289,8 @@ impl FromJson for McsmModel {
                 .require("vdd")?
                 .as_f64()
                 .ok_or_else(|| JsonError("`vdd` must be a number".into()))?,
-            io: Table4::from_json(value.require("io")?)?,
-            i_n: Table4::from_json(value.require("i_n")?)?,
-            cm_a: Table4::from_json(value.require("cm_a")?)?,
-            cm_b: Table4::from_json(value.require("cm_b")?)?,
-            c_o: Table4::from_json(value.require("c_o")?)?,
-            c_n: Table4::from_json(value.require("c_n")?)?,
+            currents: Table4Group::read_json(value, CURRENT_NAMES)?,
+            caps: Table4Group::read_json(value, CAP_NAMES)?,
             c_in_a: Table1::from_json(value.require("c_in_a")?)?,
             c_in_b: Table1::from_json(value.require("c_in_b")?)?,
         })
@@ -292,7 +303,7 @@ pub(crate) use tests::synthetic_model;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::{voltage_axis, Table1, Table4};
+    use crate::table::voltage_axis;
 
     /// Builds a synthetic model whose components are simple analytic functions —
     /// enough to test the evaluation plumbing without running characterization.
@@ -337,12 +348,8 @@ mod tests {
         McsmModel {
             cell_name: "NOR2".into(),
             vdd,
-            io,
-            i_n,
-            cm_a: cap(0.5e-15),
-            cm_b: cap(0.4e-15),
-            c_o: cap(2e-15),
-            c_n: cap(1e-15),
+            currents: Table4Group::new([io, i_n]).unwrap(),
+            caps: Table4Group::new([cap(0.5e-15), cap(0.4e-15), cap(2e-15), cap(1e-15)]).unwrap(),
             c_in_a: cin(1.5e-15),
             c_in_b: cin(1.4e-15),
         }
@@ -398,6 +405,27 @@ mod tests {
     }
 
     #[test]
+    fn loading_rejects_a_group_whose_tables_use_different_grids() {
+        let m = synthetic_model();
+        let coarse = Table4::from_fn(
+            std::array::from_fn(|_| voltage_axis(1.2, 0.1, 3).unwrap()),
+            |_| 1e-15,
+        )
+        .unwrap();
+        let JsonValue::Object(mut fields) = m.to_json() else {
+            panic!("models serialize as objects");
+        };
+        for (name, value) in &mut fields {
+            if name == "c_n" {
+                *value = coarse.to_json();
+            }
+        }
+        let err = McsmModel::from_json(&JsonValue::Object(fields)).unwrap_err();
+        assert!(err.to_string().contains("cm_a, cm_b, c_o, c_n"), "{err}");
+        assert!(Table4Group::new([m.cm_a().clone(), coarse]).is_err());
+    }
+
+    #[test]
     fn cell_model_trait_matches_inherent_methods() {
         let m = synthetic_model();
         let model: &dyn CellModel = &m;
@@ -410,7 +438,7 @@ mod tests {
         let state = [0.7];
         let v_o = 0.5;
         let mut eval = model.make_eval_state();
-        assert_eq!(eval.slots(), 6);
+        assert_eq!(eval.slots(), 2);
         let mut currents = [0.0; 2];
         model.currents(&mut eval, &pins, &state, v_o, &mut currents);
         assert_eq!(currents[0], m.output_current(0.9, 0.4, 0.7, 0.5));

@@ -9,35 +9,37 @@
 use crate::error::CsmError;
 use crate::eval::EvalState;
 use crate::model::CellModel;
-use crate::table::{Table1, Table3};
+use crate::table::{Table1, Table3, Table3Group};
 use mcsm_num::json::{FromJson, JsonError, JsonValue, ToJson};
 
-/// [`EvalState`] slot of the output-current table.
-const SLOT_IO: usize = 0;
-/// [`EvalState`] slot of the `C_mA` table.
-const SLOT_CMA: usize = 1;
-/// [`EvalState`] slot of the `C_mB` table.
-const SLOT_CMB: usize = 2;
-/// [`EvalState`] slot of the `C_o` table.
-const SLOT_CO: usize = 3;
-/// Tables a baseline MIS model queries from the hot loop.
-const SLOTS: usize = 4;
+/// [`EvalState`] slot of the current group `[I_o]`.
+const SLOT_CURRENTS: usize = 0;
+/// [`EvalState`] slot of the capacitance group `[C_mA, C_mB, C_o]`.
+const SLOT_CAPS: usize = 1;
+/// Table groups a baseline MIS model queries from the hot loop.
+const SLOTS: usize = 2;
+/// Stored names of the current group's members, in group order.
+const CURRENT_NAMES: [&str; 1] = ["io"];
+/// Stored names of the capacitance group's members, in group order.
+const CAP_NAMES: [&str; 3] = ["cm_a", "cm_b", "c_o"];
 
 /// A MIS current-source model without internal-node state.
+///
+/// The 3-D components are held in one group per characterization grid (see
+/// [`crate::table`]); the accessors ([`MisBaselineModel::io`] …) name the
+/// members.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MisBaselineModel {
     /// Name of the characterized cell.
     pub cell_name: String,
     /// Supply voltage the model was characterized at (volts).
     pub vdd: f64,
-    /// Output current source `I_o(V_A, V_B, V_o)` (amps, into the cell).
-    pub io: Table3,
-    /// Miller capacitance between input A and the output (farads).
-    pub cm_a: Table3,
-    /// Miller capacitance between input B and the output (farads).
-    pub cm_b: Table3,
-    /// Output parasitic capacitance (farads).
-    pub c_o: Table3,
+    /// `[I_o]`: the output current source over `(V_A, V_B, V_o)` (amps, into
+    /// the cell), on the current grid.
+    pub currents: Table3Group<1>,
+    /// `[C_mA, C_mB, C_o]`: the Miller capacitances of inputs A and B and the
+    /// output parasitic capacitance (farads), on the capacitance grid.
+    pub caps: Table3Group<3>,
     /// Input pin capacitance of A (farads).
     pub c_in_a: Table1,
     /// Input pin capacitance of B (farads).
@@ -45,17 +47,37 @@ pub struct MisBaselineModel {
 }
 
 impl MisBaselineModel {
+    /// Output current source `I_o` table.
+    pub fn io(&self) -> &Table3 {
+        &self.currents.tables()[0]
+    }
+
+    /// Miller capacitance table between input A and the output.
+    pub fn cm_a(&self) -> &Table3 {
+        &self.caps.tables()[0]
+    }
+
+    /// Miller capacitance table between input B and the output.
+    pub fn cm_b(&self) -> &Table3 {
+        &self.caps.tables()[1]
+    }
+
+    /// Output parasitic capacitance table.
+    pub fn c_o(&self) -> &Table3 {
+        &self.caps.tables()[2]
+    }
+
     /// Output current source (amps, into the cell).
     pub fn output_current(&self, v_a: f64, v_b: f64, v_o: f64) -> f64 {
-        self.io.eval(v_a, v_b, v_o)
+        self.io().eval(v_a, v_b, v_o)
     }
 
     /// The capacitances `(C_mA, C_mB, C_o)` at the given node voltages.
     pub fn capacitances(&self, v_a: f64, v_b: f64, v_o: f64) -> (f64, f64, f64) {
         (
-            self.cm_a.eval(v_a, v_b, v_o),
-            self.cm_b.eval(v_a, v_b, v_o),
-            self.c_o.eval(v_a, v_b, v_o),
+            self.cm_a().eval(v_a, v_b, v_o),
+            self.cm_b().eval(v_a, v_b, v_o),
+            self.c_o().eval(v_a, v_b, v_o),
         )
     }
 
@@ -104,7 +126,9 @@ impl CellModel for MisBaselineModel {
         v_out: f64,
         buf: &mut [f64],
     ) {
-        buf[0] = self.io.eval_with(eval, SLOT_IO, pins[0], pins[1], v_out);
+        [buf[0]] = self
+            .currents
+            .eval_with(eval, SLOT_CURRENTS, pins[0], pins[1], v_out);
     }
 
     fn capacitances(
@@ -116,9 +140,12 @@ impl CellModel for MisBaselineModel {
         miller: &mut [f64],
         _state_caps: &mut [f64],
     ) -> f64 {
-        miller[0] = self.cm_a.eval_with(eval, SLOT_CMA, pins[0], pins[1], v_out);
-        miller[1] = self.cm_b.eval_with(eval, SLOT_CMB, pins[0], pins[1], v_out);
-        self.c_o.eval_with(eval, SLOT_CO, pins[0], pins[1], v_out)
+        let [cm_a, cm_b, c_o] = self
+            .caps
+            .eval_with(eval, SLOT_CAPS, pins[0], pins[1], v_out);
+        miller[0] = cm_a;
+        miller[1] = cm_b;
+        c_o
     }
 
     fn equilibrium_state(&self, _pins: &[f64], _v_out: f64, _state: &mut [f64]) {}
@@ -130,19 +157,18 @@ impl CellModel for MisBaselineModel {
 
 impl ToJson for MisBaselineModel {
     fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
+        let mut fields = vec![
             (
                 "cell_name".into(),
                 JsonValue::String(self.cell_name.clone()),
             ),
             ("vdd".into(), JsonValue::Number(self.vdd)),
-            ("io".into(), self.io.to_json()),
-            ("cm_a".into(), self.cm_a.to_json()),
-            ("cm_b".into(), self.cm_b.to_json()),
-            ("c_o".into(), self.c_o.to_json()),
-            ("c_in_a".into(), self.c_in_a.to_json()),
-            ("c_in_b".into(), self.c_in_b.to_json()),
-        ])
+        ];
+        self.currents.write_json(CURRENT_NAMES, &mut fields);
+        self.caps.write_json(CAP_NAMES, &mut fields);
+        fields.push(("c_in_a".into(), self.c_in_a.to_json()));
+        fields.push(("c_in_b".into(), self.c_in_b.to_json()));
+        JsonValue::Object(fields)
     }
 }
 
@@ -158,10 +184,8 @@ impl FromJson for MisBaselineModel {
                 .require("vdd")?
                 .as_f64()
                 .ok_or_else(|| JsonError("`vdd` must be a number".into()))?,
-            io: Table3::from_json(value.require("io")?)?,
-            cm_a: Table3::from_json(value.require("cm_a")?)?,
-            cm_b: Table3::from_json(value.require("cm_b")?)?,
-            c_o: Table3::from_json(value.require("c_o")?)?,
+            currents: Table3Group::read_json(value, CURRENT_NAMES)?,
+            caps: Table3Group::read_json(value, CAP_NAMES)?,
             c_in_a: Table1::from_json(value.require("c_in_a")?)?,
             c_in_b: Table1::from_json(value.require("c_in_b")?)?,
         })
@@ -198,10 +222,8 @@ mod tests {
         MisBaselineModel {
             cell_name: "NOR2".into(),
             vdd,
-            io,
-            cm_a: cap(0.5e-15),
-            cm_b: cap(0.4e-15),
-            c_o: cap(2e-15),
+            currents: Table3Group::new([io]).unwrap(),
+            caps: Table3Group::new([cap(0.5e-15), cap(0.4e-15), cap(2e-15)]).unwrap(),
             c_in_a: cin(1.5e-15),
             c_in_b: cin(1.4e-15),
         }
@@ -232,7 +254,7 @@ mod tests {
         let model: &dyn CellModel = &m;
         assert_eq!((model.num_pins(), model.num_state_nodes()), (2, 0));
         let mut eval = model.make_eval_state();
-        assert_eq!(eval.slots(), 4);
+        assert_eq!(eval.slots(), 2);
         let mut buf = [0.0];
         model.currents(&mut eval, &[1.2, 1.2], &[], 1.2, &mut buf);
         assert_eq!(buf[0], m.output_current(1.2, 1.2, 1.2));

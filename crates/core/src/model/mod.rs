@@ -34,9 +34,10 @@ use crate::eval::EvalState;
 /// fill caller-provided buffers (`currents`, `capacitances`,
 /// `equilibrium_state`) or return a scalar. Buffer-filling keeps the inner
 /// integration loop allocation-free regardless of the model dimensionality,
-/// and the [`EvalState`] scratch (one lookup cursor per model table, built
-/// once per run by [`make_eval_state`]) keeps the table lookups themselves
-/// allocation-free and O(1) amortized across consecutive sub-steps.
+/// and the [`EvalState`] scratch (one lookup cursor per model table group,
+/// built once per run by [`make_eval_state`]) keeps the table lookups
+/// themselves allocation-free and O(1) amortized across consecutive
+/// sub-steps.
 ///
 /// The sign convention for every current is *into the cell*: positive output
 /// current discharges the output, positive state current discharges its state
@@ -57,10 +58,11 @@ pub trait CellModel {
     /// baseline-MIS models, 1 for the complete two-input MCSM).
     fn num_state_nodes(&self) -> usize;
 
-    /// Builds the per-run evaluation scratch: one lookup cursor per table this
-    /// model queries from [`currents`] / [`capacitances`]. Create it once per
-    /// simulation run and thread it through every evaluation — the cursors are
-    /// what make consecutive lookups O(1) amortized.
+    /// Builds the per-run evaluation scratch: one lookup cursor per table
+    /// group this model queries from [`currents`] / [`capacitances`] (see
+    /// [`crate::table`]). Create it once per simulation run and thread it
+    /// through every evaluation — the cursors are what make consecutive
+    /// lookups O(1) amortized.
     ///
     /// [`currents`]: CellModel::currents
     /// [`capacitances`]: CellModel::capacitances

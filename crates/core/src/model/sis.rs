@@ -9,19 +9,24 @@
 use crate::error::CsmError;
 use crate::eval::EvalState;
 use crate::model::CellModel;
-use crate::table::{Table1, Table2};
+use crate::table::{Table1, Table2, Table2Group};
 use mcsm_num::json::{FromJson, JsonError, JsonValue, ToJson};
 
-/// [`EvalState`] slot of the output-current table.
-const SLOT_IO: usize = 0;
-/// [`EvalState`] slot of the Miller-capacitance table.
-const SLOT_CM: usize = 1;
-/// [`EvalState`] slot of the output-capacitance table.
-const SLOT_CO: usize = 2;
-/// Tables a SIS model queries from the hot loop.
-const SLOTS: usize = 3;
+/// [`EvalState`] slot of the current group `[I_o]`.
+const SLOT_CURRENTS: usize = 0;
+/// [`EvalState`] slot of the capacitance group `[C_m, C_o]`.
+const SLOT_CAPS: usize = 1;
+/// Table groups a SIS model queries from the hot loop.
+const SLOTS: usize = 2;
+/// Stored names of the current group's members, in group order.
+const CURRENT_NAMES: [&str; 1] = ["io"];
+/// Stored names of the capacitance group's members, in group order.
+const CAP_NAMES: [&str; 2] = ["cm", "c_o"];
 
 /// A single-input-switching current-source model.
+///
+/// The 2-D components are held in one group per characterization grid (see
+/// [`crate::table`]); the accessors ([`SisModel::io`] …) name the members.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SisModel {
     /// Name of the characterized cell.
@@ -32,25 +37,41 @@ pub struct SisModel {
     pub switching_pin: usize,
     /// Logic value the non-switching inputs were held at during characterization.
     pub other_inputs_high: bool,
-    /// Output current source `I_o(V_in, V_o)` (amps, into the cell).
-    pub io: Table2,
-    /// Miller capacitance between the switching input and the output (farads).
-    pub cm: Table2,
-    /// Output parasitic capacitance (farads).
-    pub c_o: Table2,
+    /// `[I_o]`: the output current source over `(V_in, V_o)` (amps, into the
+    /// cell), on the current grid.
+    pub currents: Table2Group<1>,
+    /// `[C_m, C_o]`: the Miller capacitance between the switching input and
+    /// the output, and the output parasitic capacitance (farads), on the
+    /// capacitance grid.
+    pub caps: Table2Group<2>,
     /// Input pin capacitance of the switching input (farads).
     pub c_in: Table1,
 }
 
 impl SisModel {
+    /// Output current source `I_o` table.
+    pub fn io(&self) -> &Table2 {
+        &self.currents.tables()[0]
+    }
+
+    /// Miller capacitance table between the switching input and the output.
+    pub fn cm(&self) -> &Table2 {
+        &self.caps.tables()[0]
+    }
+
+    /// Output parasitic capacitance table.
+    pub fn c_o(&self) -> &Table2 {
+        &self.caps.tables()[1]
+    }
+
     /// Output current source (amps, into the cell).
     pub fn output_current(&self, v_in: f64, v_o: f64) -> f64 {
-        self.io.eval(v_in, v_o)
+        self.io().eval(v_in, v_o)
     }
 
     /// The capacitances `(C_m, C_o)` at the given voltages.
     pub fn capacitances(&self, v_in: f64, v_o: f64) -> (f64, f64) {
-        (self.cm.eval(v_in, v_o), self.c_o.eval(v_in, v_o))
+        (self.cm().eval(v_in, v_o), self.c_o().eval(v_in, v_o))
     }
 
     /// Input pin capacitance of the switching input.
@@ -88,7 +109,7 @@ impl CellModel for SisModel {
         v_out: f64,
         buf: &mut [f64],
     ) {
-        buf[0] = self.io.eval_with(eval, SLOT_IO, pins[0], v_out);
+        [buf[0]] = self.currents.eval_with(eval, SLOT_CURRENTS, pins[0], v_out);
     }
 
     fn capacitances(
@@ -100,8 +121,9 @@ impl CellModel for SisModel {
         miller: &mut [f64],
         _state_caps: &mut [f64],
     ) -> f64 {
-        miller[0] = self.cm.eval_with(eval, SLOT_CM, pins[0], v_out);
-        self.c_o.eval_with(eval, SLOT_CO, pins[0], v_out)
+        let [cm, c_o] = self.caps.eval_with(eval, SLOT_CAPS, pins[0], v_out);
+        miller[0] = cm;
+        c_o
     }
 
     fn equilibrium_state(&self, _pins: &[f64], _v_out: f64, _state: &mut [f64]) {}
@@ -118,7 +140,7 @@ impl CellModel for SisModel {
 
 impl ToJson for SisModel {
     fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
+        let mut fields = vec![
             (
                 "cell_name".into(),
                 JsonValue::String(self.cell_name.clone()),
@@ -132,11 +154,11 @@ impl ToJson for SisModel {
                 "other_inputs_high".into(),
                 JsonValue::Bool(self.other_inputs_high),
             ),
-            ("io".into(), self.io.to_json()),
-            ("cm".into(), self.cm.to_json()),
-            ("c_o".into(), self.c_o.to_json()),
-            ("c_in".into(), self.c_in.to_json()),
-        ])
+        ];
+        self.currents.write_json(CURRENT_NAMES, &mut fields);
+        self.caps.write_json(CAP_NAMES, &mut fields);
+        fields.push(("c_in".into(), self.c_in.to_json()));
+        JsonValue::Object(fields)
     }
 }
 
@@ -160,9 +182,8 @@ impl FromJson for SisModel {
                 .require("other_inputs_high")?
                 .as_bool()
                 .ok_or_else(|| JsonError("`other_inputs_high` must be a bool".into()))?,
-            io: Table2::from_json(value.require("io")?)?,
-            cm: Table2::from_json(value.require("cm")?)?,
-            c_o: Table2::from_json(value.require("c_o")?)?,
+            currents: Table2Group::read_json(value, CURRENT_NAMES)?,
+            caps: Table2Group::read_json(value, CAP_NAMES)?,
             c_in: Table1::from_json(value.require("c_in")?)?,
         })
     }
@@ -196,9 +217,8 @@ mod tests {
             vdd,
             switching_pin: 0,
             other_inputs_high: false,
-            io,
-            cm: cap(0.5e-15),
-            c_o: cap(2e-15),
+            currents: Table2Group::new([io]).unwrap(),
+            caps: Table2Group::new([cap(0.5e-15), cap(2e-15)]).unwrap(),
             c_in: Table1::from_fn([voltage_axis(vdd, 0.1, 3).unwrap()], |_| 1.5e-15).unwrap(),
         }
     }
@@ -229,7 +249,7 @@ mod tests {
         assert_eq!(model.num_pins(), 1);
         assert_eq!(model.num_state_nodes(), 0);
         let mut eval = model.make_eval_state();
-        assert_eq!(eval.slots(), 3);
+        assert_eq!(eval.slots(), 2);
         let mut buf = [0.0];
         model.currents(&mut eval, &[1.2], &[], 1.2, &mut buf);
         assert_eq!(buf[0], m.output_current(1.2, 1.2));

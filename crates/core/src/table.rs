@@ -9,11 +9,28 @@
 //!   internal node (Section 3.1);
 //! * [`Table2`] — `(V_in, V_o)`, the single-input-switching model (Section 2.1);
 //! * [`Table1`] — `(V_in)`, input pin capacitances (Eq. 3).
+//!
+//! # Grouped tables
+//!
+//! A model's hot loop reads several components at the same operating point,
+//! and characterization samples them on shared grids: the current sources on
+//! the current grid, the capacitances on the capacitance grid. [`Table4Group`],
+//! [`Table3Group`] and [`Table2Group`] hold such a set — `N` tables over **one
+//! axis set** — and [`eval_with`](Table4Group::eval_with) evaluates all of
+//! them with one grid locate and one set of corner weights
+//! ([`LutGroup`]), bit-identical to evaluating each table on its own. This is
+//! the only table lookup the simulation hot loop performs; each group uses
+//! one [`EvalState`] cursor slot. The shared-axes requirement is checked when
+//! the group is built ([`Table4Group::new`]) and therefore when a model is
+//! built or loaded: tables whose axes differ are rejected with an error
+//! rather than silently interpolated on the wrong grid. Groups serialize as
+//! their separate member tables, so stored models keep one JSON entry per
+//! component.
 
 use crate::eval::{EvalMode, EvalState};
 use mcsm_num::grid::Axis;
 use mcsm_num::json::{FromJson, JsonError, JsonValue, ToJson};
-use mcsm_num::lut::LutNd;
+use mcsm_num::lut::{LutGroup, LutNd};
 use mcsm_num::NumError;
 
 macro_rules! voltage_table {
@@ -66,26 +83,6 @@ macro_rules! voltage_table {
                     .expect("constructor guarantees the axis count; coordinates must be finite")
             }
 
-            /// Cursor-accelerated evaluation through one [`EvalState`] table
-            /// slot — bit-identical to [`eval`](Self::eval), O(1) amortized on
-            /// the temporally coherent queries of a simulation run. In
-            /// [`EvalMode::Reference`] the historical allocating
-            /// `LutNd::eval` path runs instead (the benchmark baseline).
-            ///
-            /// # Panics
-            ///
-            /// Panics if any coordinate is NaN or `slot` is out of range for
-            /// the state.
-            pub fn eval_with(&self, st: &mut EvalState, slot: usize, $($arg: f64),+) -> f64 {
-                st.count_lookup();
-                let coords = [$($arg),+];
-                match st.mode() {
-                    EvalMode::Fast => self.lut.eval_with_cursor(st.cursor(slot), &coords),
-                    EvalMode::Reference => self.lut.eval(&coords),
-                }
-                .expect("constructor guarantees the axis count; coordinates must be finite")
-            }
-
             /// The underlying lookup table.
             pub fn lut(&self) -> &LutNd {
                 &self.lut
@@ -101,6 +98,12 @@ macro_rules! voltage_table {
             }
         }
 
+        impl AsRef<LutNd> for $name {
+            fn as_ref(&self) -> &LutNd {
+                &self.lut
+            }
+        }
+
         impl ToJson for $name {
             fn to_json(&self) -> JsonValue {
                 self.lut.to_json()
@@ -111,6 +114,85 @@ macro_rules! voltage_table {
             fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
                 let lut = LutNd::from_json(value)?;
                 $name::new(lut).map_err(|e| JsonError(format!("invalid table: {e}")))
+            }
+        }
+    };
+}
+
+macro_rules! voltage_table_group {
+    ($(#[$doc:meta])* $name:ident, $table:ident, [$($arg:ident),+]) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct $name<const N: usize> {
+            group: LutGroup<$table, N>,
+        }
+
+        impl<const N: usize> $name<N> {
+            /// Groups tables that share one axis set.
+            ///
+            /// # Errors
+            ///
+            /// Returns [`NumError::InvalidGrid`] if the group is empty or any
+            /// table's axes differ from the first table's.
+            pub fn new(tables: [$table; N]) -> Result<Self, NumError> {
+                Ok(Self {
+                    group: LutGroup::new(tables)?,
+                })
+            }
+
+            /// The member tables, in group order.
+            pub fn tables(&self) -> &[$table; N] {
+                self.group.members()
+            }
+
+            /// Evaluates every member at one point through one [`EvalState`]
+            /// cursor slot: one hinted grid locate, O(1) amortized on the
+            /// temporally coherent queries of a simulation run, then one
+            /// corner sum per member. Counts `N` lookups. In
+            /// [`EvalMode::Reference`] each member runs the allocating
+            /// `LutNd::eval` instead (the oracle and benchmark baseline);
+            /// both modes return the same bits.
+            ///
+            /// # Panics
+            ///
+            /// Panics if any coordinate is NaN or `slot` is out of range for
+            /// the state.
+            pub fn eval_with(&self, st: &mut EvalState, slot: usize, $($arg: f64),+) -> [f64; N] {
+                st.count_lookups(N as u64);
+                let coords = [$($arg),+];
+                match st.mode() {
+                    EvalMode::Fast => self.group.eval_with_cursor(st.cursor(slot), &coords),
+                    EvalMode::Reference => self.group.eval_reference(&coords),
+                }
+                .expect("constructor guarantees the axis count; coordinates must be finite")
+            }
+
+            /// Appends one `(name, table)` JSON entry per member — the
+            /// per-component layout stored models use.
+            pub fn write_json(&self, names: [&str; N], out: &mut Vec<(String, JsonValue)>) {
+                for (name, table) in names.iter().zip(self.tables()) {
+                    out.push(((*name).to_string(), table.to_json()));
+                }
+            }
+
+            /// Reads the members stored under `names` in `value` and groups
+            /// them.
+            ///
+            /// # Errors
+            ///
+            /// Returns a [`JsonError`] if a member is missing or malformed, or
+            /// if the members do not share one axis set.
+            pub fn read_json(value: &JsonValue, names: [&str; N]) -> Result<Self, JsonError> {
+                let mut tables = Vec::with_capacity(N);
+                for name in names {
+                    tables.push($table::from_json(value.require(name)?)?);
+                }
+                let tables: [$table; N] = tables
+                    .try_into()
+                    .expect("one table was read per name");
+                Self::new(tables).map_err(|e| {
+                    JsonError(format!("tables {} cannot be grouped: {e}", names.join(", ")))
+                })
             }
         }
     };
@@ -142,6 +224,30 @@ voltage_table!(
     Table1,
     1,
     [v_in]
+);
+
+voltage_table_group!(
+    /// Components over `(V_A, V_B, V_N, V_o)` sharing one axis set — the MCSM's
+    /// `[I_o, I_N]` and `[C_mA, C_mB, C_o, C_N]`.
+    Table4Group,
+    Table4,
+    [v_a, v_b, v_n, v_o]
+);
+
+voltage_table_group!(
+    /// Components over `(V_A, V_B, V_o)` sharing one axis set — the baseline
+    /// MIS model's `[I_o]` and `[C_mA, C_mB, C_o]`.
+    Table3Group,
+    Table3,
+    [v_a, v_b, v_o]
+);
+
+voltage_table_group!(
+    /// Components over `(V_in, V_o)` sharing one axis set — the SIS model's
+    /// `[I_o]` and `[C_m, C_o]`.
+    Table2Group,
+    Table2,
+    [v_in, v_o]
 );
 
 /// Builds the voltage axis used by every table: `[-margin, vdd + margin]` with
@@ -206,11 +312,11 @@ mod tests {
     }
 
     #[test]
-    fn eval_with_matches_eval_in_both_modes() {
-        let t = Table4::from_fn([axis(3), axis(4), axis(3), axis(5)], |v| {
-            (v[0] - 0.3) * v[1] + v[2] * v[3]
-        })
-        .unwrap();
+    fn grouped_eval_with_matches_eval_in_both_modes() {
+        let axes = || [axis(3), axis(4), axis(3), axis(5)];
+        let a = Table4::from_fn(axes(), |v| (v[0] - 0.3) * v[1] + v[2] * v[3]).unwrap();
+        let b = Table4::from_fn(axes(), |v| v[0] * v[0] - v[3]).unwrap();
+        let group = Table4Group::new([a.clone(), b.clone()]).unwrap();
         let mut fast = EvalState::fast(1);
         let mut reference = EvalState::fast(1);
         reference.set_mode(EvalMode::Reference);
@@ -218,14 +324,45 @@ mod tests {
         for step in 0..50 {
             q[0] = 0.02 * step as f64;
             q[3] = 1.2 - 0.02 * step as f64;
-            let want = t.eval(q[0], q[1], q[2], q[3]);
-            let got_fast = t.eval_with(&mut fast, 0, q[0], q[1], q[2], q[3]);
-            let got_ref = t.eval_with(&mut reference, 0, q[0], q[1], q[2], q[3]);
-            assert_eq!(want.to_bits(), got_fast.to_bits(), "fast at {q:?}");
-            assert_eq!(want.to_bits(), got_ref.to_bits(), "reference at {q:?}");
+            let want = [
+                a.eval(q[0], q[1], q[2], q[3]),
+                b.eval(q[0], q[1], q[2], q[3]),
+            ];
+            let got_fast = group.eval_with(&mut fast, 0, q[0], q[1], q[2], q[3]);
+            let got_ref = group.eval_with(&mut reference, 0, q[0], q[1], q[2], q[3]);
+            for i in 0..2 {
+                assert_eq!(want[i].to_bits(), got_fast[i].to_bits(), "fast at {q:?}");
+                assert_eq!(
+                    want[i].to_bits(),
+                    got_ref[i].to_bits(),
+                    "reference at {q:?}"
+                );
+            }
         }
-        assert_eq!(fast.lookups(), 50);
-        assert_eq!(reference.lookups(), 50);
+        assert_eq!(fast.lookups(), 100);
+        assert_eq!(reference.lookups(), 100);
+    }
+
+    #[test]
+    fn groups_reject_tables_on_different_axes() {
+        let a = Table2::from_fn([axis(3), axis(3)], |v| v[0]).unwrap();
+        let b = Table2::from_fn([axis(3), axis(4)], |v| v[1]).unwrap();
+        let err = Table2Group::new([a.clone(), b.clone()]).unwrap_err();
+        assert!(err.to_string().contains("member 1"), "{err}");
+        assert!(Table2Group::new([a.clone(), a.clone()]).is_ok());
+
+        // The per-component JSON layout round-trips, and a document whose
+        // components disagree on their axes is rejected on load.
+        let mut fields = Vec::new();
+        Table2Group::new([a.clone(), a.clone()])
+            .unwrap()
+            .write_json(["x", "y"], &mut fields);
+        let doc = JsonValue::Object(fields);
+        let back = Table2Group::<2>::read_json(&doc, ["x", "y"]).unwrap();
+        assert_eq!(back.tables(), &[a.clone(), a.clone()]);
+        let bad = JsonValue::Object(vec![("x".into(), a.to_json()), ("y".into(), b.to_json())]);
+        let err = Table2Group::<2>::read_json(&bad, ["x", "y"]).unwrap_err();
+        assert!(err.to_string().contains("x, y"), "{err}");
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use fault::{Deadline, FaultPlan};
 pub use grid::Axis;
 pub use hash::ByteHasher;
 pub use json::{FromJson, JsonError, JsonValue, ToJson};
-pub use lut::{LutCursor, LutNd};
+pub use lut::{LutCursor, LutGroup, LutNd};
 pub use matrix::DenseMatrix;
 pub use newton::{NewtonOptions, NewtonOutcome, NewtonSystem};
 pub use par::{par_map, par_map_result, resolve_threads, ThreadPool};

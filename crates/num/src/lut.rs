@@ -36,6 +36,15 @@
 //! a fresh transition re-starting from a rail, or one cursor shared between
 //! unrelated query streams). The fallback is the only cost of a cold or
 //! wrongly-hinted cursor; results never depend on the hint.
+//!
+//! # Grouped tables
+//!
+//! A cell model reads several components at one operating point — the MCSM's
+//! two current sources on the current grid, its four capacitances on the
+//! capacitance grid. Locating the point and forming the corner weights depend
+//! only on the axes, so a [`LutGroup`] of tables sharing one axis set does
+//! both once per query and then takes one corner sum per member. Every member
+//! value is bit-identical to that member's own [`LutNd::eval`].
 
 use crate::error::NumError;
 use crate::grid::Axis;
@@ -646,6 +655,156 @@ impl LutNd {
     }
 }
 
+impl AsRef<LutNd> for LutNd {
+    fn as_ref(&self) -> &LutNd {
+        self
+    }
+}
+
+/// Largest dimensionality the grouped fast path serves with one shared
+/// locate; wider groups evaluate member by member through one cursor.
+const MAX_GROUP_DIMS: usize = 4;
+
+/// `N` tables over one axis set, evaluated together at one point.
+///
+/// [`LutGroup::eval_with_cursor`] locates the point once (cursor-hinted),
+/// forms the `2^d` corner weights once, and then takes one corner sum per
+/// member. It keeps the per-table corner order, the same left-to-right weight
+/// products and the same skip of zero-weight corners, so each member value is
+/// bit-identical to the member's own [`LutNd::eval`] —
+/// [`LutGroup::eval_reference`] runs exactly that, per member, as the oracle.
+///
+/// The members must have identical axes; [`LutGroup::new`] rejects any that
+/// differ. `T` is any wrapper that exposes a [`LutNd`] (the typed voltage
+/// tables of `mcsm-core`, or `LutNd` itself).
+#[derive(Debug, Clone, PartialEq)]
+pub struct LutGroup<T, const N: usize> {
+    members: [T; N],
+}
+
+impl<T: AsRef<LutNd>, const N: usize> LutGroup<T, N> {
+    /// Groups tables that share one axis set.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumError::InvalidGrid`] for an empty group or when a member's
+    /// axes differ from the first member's.
+    pub fn new(members: [T; N]) -> Result<Self, NumError> {
+        let Some(lead) = members.first() else {
+            return Err(NumError::InvalidGrid(
+                "a table group needs at least one member".into(),
+            ));
+        };
+        let lead = lead.as_ref();
+        if let Some(bad) = members.iter().position(|m| m.as_ref().axes != lead.axes) {
+            return Err(NumError::InvalidGrid(format!(
+                "table group member {bad} does not share the axes of member 0: grouped \
+                 tables are located once per query, so all {N} must use one axis set"
+            )));
+        }
+        Ok(LutGroup { members })
+    }
+
+    /// The member tables, in group order.
+    pub fn members(&self) -> &[T; N] {
+        &self.members
+    }
+
+    fn lead(&self) -> &LutNd {
+        self.members[0].as_ref()
+    }
+
+    /// Evaluates every member at `coords` with one cursor-hinted locate and
+    /// one set of corner weights; bit-identical to [`LutGroup::eval_reference`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`LutNd::eval`].
+    pub fn eval_with_cursor(
+        &self,
+        cursor: &mut LutCursor,
+        coords: &[f64],
+    ) -> Result<[f64; N], NumError> {
+        self.lead().check_arity(coords.len())?;
+        match coords.len() {
+            1 => self.eval_hinted_fixed::<1>(cursor, coords),
+            2 => self.eval_hinted_fixed::<2>(cursor, coords),
+            3 => self.eval_hinted_fixed::<3>(cursor, coords),
+            4 => self.eval_hinted_fixed::<4>(cursor, coords),
+            _ => {
+                let mut out = [0.0; N];
+                for (slot, member) in out.iter_mut().zip(&self.members) {
+                    *slot = member.as_ref().eval_with_cursor(cursor, coords)?;
+                }
+                Ok(out)
+            }
+        }
+    }
+
+    /// The oracle: every member through its own allocating [`LutNd::eval`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`LutNd::eval`].
+    pub fn eval_reference(&self, coords: &[f64]) -> Result<[f64; N], NumError> {
+        let mut out = [0.0; N];
+        for (slot, member) in out.iter_mut().zip(&self.members) {
+            *slot = member.as_ref().eval(coords)?;
+        }
+        Ok(out)
+    }
+
+    fn eval_hinted_fixed<const D: usize>(
+        &self,
+        cursor: &mut LutCursor,
+        coords: &[f64],
+    ) -> Result<[f64; N], NumError> {
+        let lead = self.lead();
+        // Corner `c` has bit `k` set when it takes the high node on axis `k`.
+        // The weights grow one axis at a time in ascending order, so each is
+        // the product `((1 * w_0) * w_1) * …` that `corner_sum_fixed`
+        // multiplies, and the flat indices are the same integer sums.
+        let mut weight = [0.0f64; 1 << MAX_GROUP_DIMS];
+        let mut flat = [0usize; 1 << MAX_GROUP_DIMS];
+        weight[0] = 1.0;
+        let mut corners = 1;
+        for (k, &x) in coords.iter().enumerate().take(D) {
+            let (i, t) = lead.axes[k]
+                .try_locate_hinted(x, cursor.cells[k])
+                .map_err(|_| nan_query_error(k))?;
+            cursor.cells[k] = i;
+            let stride = lead.strides[k];
+            for c in 0..corners {
+                weight[c + corners] = weight[c] * t;
+                flat[c + corners] = flat[c] + (i + 1) * stride;
+                weight[c] *= 1.0 - t;
+                flat[c] += i * stride;
+            }
+            corners *= 2;
+        }
+        // Keep only the corners every member sums (the per-table skip rule),
+        // in corner order.
+        let mut live = 0;
+        for c in 0..corners {
+            if weight[c] != 0.0 {
+                weight[live] = weight[c];
+                flat[live] = flat[c];
+                live += 1;
+            }
+        }
+        let mut out = [0.0; N];
+        for (slot, member) in out.iter_mut().zip(&self.members) {
+            let values = &member.as_ref().values;
+            let mut acc = 0.0;
+            for c in 0..live {
+                acc += weight[c] * values[flat[c]];
+            }
+            *slot = acc;
+        }
+        Ok(out)
+    }
+}
+
 impl ToJson for LutNd {
     fn to_json(&self) -> JsonValue {
         JsonValue::Object(vec![
@@ -960,6 +1119,51 @@ mod proptests {
                 assert_all_paths_match(&lut, &mut cursor, &falling);
             }
         }
+    }
+
+    #[test]
+    fn grouped_eval_matches_each_member_bit_for_bit() {
+        // One locate and one set of corner weights for the whole group must
+        // give every member exactly its own `eval`, for 1-6 dimensions (5
+        // and 6 take the member-by-member fallback) and a cursor persisting
+        // across arbitrary jumps.
+        let mut rng = TestRng::new(0x6E0);
+        for _ in 0..40 {
+            let dims = 1 + rng.index(6);
+            let lead = random_table(&mut rng, dims);
+            let other = |rng: &mut TestRng| {
+                let values = (0..lead.len()).map(|_| rng.in_range(-5.0, 5.0)).collect();
+                LutNd::new(lead.axes().to_vec(), values).unwrap()
+            };
+            let group = LutGroup::new([lead.clone(), other(&mut rng), other(&mut rng)]).unwrap();
+            let mut cursor = LutCursor::new();
+            for _ in 0..30 {
+                let q = random_query(&mut rng, &lead);
+                let fast = group.eval_with_cursor(&mut cursor, &q).unwrap();
+                let reference = group.eval_reference(&q).unwrap();
+                for (i, member) in group.members().iter().enumerate() {
+                    let want = member.eval(&q).unwrap().to_bits();
+                    assert_eq!(want, fast[i].to_bits(), "member {i} at {q:?}");
+                    assert_eq!(want, reference[i].to_bits(), "member {i} at {q:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn groups_need_one_shared_axis_set() {
+        let a = LutNd::from_fn(vec![Axis::uniform(0.0, 1.0, 3).unwrap()], |v| v[0]).unwrap();
+        let b = LutNd::from_fn(vec![Axis::uniform(0.0, 1.0, 4).unwrap()], |v| v[0]).unwrap();
+        let err = LutGroup::new([a.clone(), a.clone(), b]).unwrap_err();
+        assert!(matches!(err, NumError::InvalidGrid(ref msg) if msg.contains("member 2")));
+        assert!(LutGroup::<LutNd, 0>::new([]).is_err());
+        let group = LutGroup::new([a]).unwrap();
+        assert!(group
+            .eval_with_cursor(&mut LutCursor::new(), &[0.5, 0.5])
+            .is_err());
+        assert!(group
+            .eval_with_cursor(&mut LutCursor::new(), &[f64::NAN])
+            .is_err());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! backend for them is a reported error, never a silent SIS downgrade.
 //!
 //! Every gate evaluation runs the engine's allocation-free LUT fast path: the
-//! engine builds one `EvalState` (a lookup cursor per model table) per gate
+//! engine builds one `EvalState` (a lookup cursor per model table group) per gate
 //! simulation and reuses it across all of that gate's sub-steps, so table
 //! lookups are O(1) amortized over the whole waveform sweep. Setting
 //! [`CsmSimOptions::eval`] to `EvalMode::Reference` in the calculator's `sim`

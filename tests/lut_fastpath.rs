@@ -68,7 +68,7 @@ fn characterization_rig_outputs_feed_identical_models_through_both_paths() {
     let mut store = ModelStore::new();
     store.sis.push(sis);
     let model = store.sis_for_pin(0).unwrap();
-    let lut = model.io.lut();
+    let lut = model.io().lut();
     let mut cursor = mcsm::num::LutCursor::new();
     let mut rng = TestRng::new(0x51f);
     for _ in 0..200 {
